@@ -27,6 +27,12 @@ func (p *promWriter) typ(name, kind, help string) {
 	fmt.Fprintf(p.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
 }
 
+// single writes a metric that has one unlabeled sample.
+func (p *promWriter) single(name, kind, help string, value float64) {
+	p.typ(name, kind, help)
+	p.sample(name, value)
+}
+
 // sample writes one metric line. labels is alternating key, value
 // pairs; values are label-escaped per the exposition format.
 func (p *promWriter) sample(name string, value float64, labels ...string) {
@@ -63,12 +69,9 @@ func (s *server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	p := &promWriter{w: bufio.NewWriter(w)}
 	defer p.w.Flush()
 
-	p.typ("backboned_uptime_seconds", "gauge", "Seconds since the process started.")
-	p.sample("backboned_uptime_seconds", time.Since(s.start).Seconds())
-	p.typ("backboned_requests_total", "counter", "Requests accepted by the scoring and session endpoints.")
-	p.sample("backboned_requests_total", float64(s.requests.Load()))
-	p.typ("backboned_draining", "gauge", "1 once graceful shutdown has begun (readyz is 503).")
-	p.sample("backboned_draining", b2f(s.draining.Load()))
+	p.single("backboned_uptime_seconds", "gauge", "Seconds since the process started.", time.Since(s.start).Seconds())
+	p.single("backboned_requests_total", "counter", "Requests accepted by the scoring and session endpoints.", float64(s.requests.Load()))
+	p.single("backboned_draining", "gauge", "1 once graceful shutdown has begun (readyz is 503).", b2f(s.draining.Load()))
 
 	gs, ss := s.graphs.Stats(), s.scores.Stats()
 	p.typ("backboned_cache_hits_total", "counter", "Content-addressed cache hits by cache.")
@@ -88,8 +91,7 @@ func (s *server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	p.sample("backboned_cache_bytes", float64(ss.Bytes), "cache", "score")
 
 	ast := s.limiter.Stats()
-	p.typ("backboned_admission_limit", "gauge", "Current adaptive concurrency limit.")
-	p.sample("backboned_admission_limit", ast.Limit)
+	p.single("backboned_admission_limit", "gauge", "Current adaptive concurrency limit.", ast.Limit)
 	p.typ("backboned_admission_in_flight", "gauge", "Admitted requests currently executing, by lane.")
 	p.sample("backboned_admission_in_flight", float64(ast.Fast.InFlight), "lane", "fast")
 	p.sample("backboned_admission_in_flight", float64(ast.Cold.InFlight), "lane", "cold")
@@ -102,52 +104,31 @@ func (s *server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	p.typ("backboned_admission_sheds_total", "counter", "Requests shed with 503, by lane.")
 	p.sample("backboned_admission_sheds_total", float64(ast.Fast.Sheds), "lane", "fast")
 	p.sample("backboned_admission_sheds_total", float64(ast.Cold.Sheds), "lane", "cold")
-	p.typ("backboned_admission_deadline_rejects_total", "counter", "Requests refused because their budget could not cover the work ahead.")
-	p.sample("backboned_admission_deadline_rejects_total", float64(ast.DeadlineRejects))
-	p.typ("backboned_expired_arrivals_total", "counter", "Requests whose propagated deadline was already spent on arrival.")
-	p.sample("backboned_expired_arrivals_total", float64(s.expiredArrivals.Load()))
-	p.typ("backboned_expired_before_scoring_total", "counter", "Scoring runs refused at the last gate because the deadline had passed.")
-	p.sample("backboned_expired_before_scoring_total", float64(s.expiredBeforeScoring.Load()))
-	p.typ("backboned_deadline_violations_total", "counter", "Scoring runs that would have started past their deadline (must stay 0).")
-	p.sample("backboned_deadline_violations_total", float64(s.deadlineViolations.Load()))
+	p.single("backboned_admission_deadline_rejects_total", "counter", "Requests refused because their budget could not cover the work ahead.", float64(ast.DeadlineRejects))
+	p.single("backboned_expired_arrivals_total", "counter", "Requests whose propagated deadline was already spent on arrival.", float64(s.expiredArrivals.Load()))
+	p.single("backboned_expired_before_scoring_total", "counter", "Scoring runs refused at the last gate because the deadline had passed.", float64(s.expiredBeforeScoring.Load()))
+	p.single("backboned_deadline_violations_total", "counter", "Scoring runs that would have started past their deadline (must stay 0).", float64(s.deadlineViolations.Load()))
 
-	p.typ("backboned_evaluate_requests_total", "counter", "POST /evaluate calls.")
-	p.sample("backboned_evaluate_requests_total", float64(s.evalRequests.Load()))
-	p.typ("backboned_evaluate_cache_skips_total", "counter", "Method scorings /evaluate skipped via the score cache.")
-	p.sample("backboned_evaluate_cache_skips_total", float64(s.evalCacheSkips.Load()))
+	p.single("backboned_evaluate_requests_total", "counter", "POST /evaluate calls.", float64(s.evalRequests.Load()))
+	p.single("backboned_evaluate_cache_skips_total", "counter", "Method scorings /evaluate skipped via the score cache.", float64(s.evalCacheSkips.Load()))
 
-	p.typ("backboned_sessions_active", "gauge", "Resident incremental sessions.")
-	p.sample("backboned_sessions_active", float64(s.sessionCount()))
-	p.typ("backboned_session_creates_total", "counter", "Sessions opened (POST /session).")
-	p.sample("backboned_session_creates_total", float64(s.sessionCreates.Load()))
-	p.typ("backboned_session_updates_total", "counter", "Update batches applied to sessions.")
-	p.sample("backboned_session_updates_total", float64(s.sessionUpdates.Load()))
-	p.typ("backboned_session_reads_total", "counter", "Session backbone/score reads.")
-	p.sample("backboned_session_reads_total", float64(s.sessionReads.Load()))
-	p.typ("backboned_session_deletes_total", "counter", "Sessions closed with DELETE.")
-	p.sample("backboned_session_deletes_total", float64(s.sessionDeletes.Load()))
-	p.typ("backboned_session_evictions_total", "counter", "Sessions evicted past -max-sessions.")
-	p.sample("backboned_session_evictions_total", float64(s.sessionEvictions.Load()))
-	p.typ("backboned_session_delta_invalidations_total", "counter", "Per-session score tables dirtied by update batches.")
-	p.sample("backboned_session_delta_invalidations_total", float64(s.sessionInvalidations.Load()))
-	p.typ("backboned_session_rescored_rows_total", "counter", "Score-table rows re-scored by incremental session reads.")
-	p.sample("backboned_session_rescored_rows_total", float64(s.sessionRescoredRows.Load()))
-	p.typ("backboned_session_full_rescores_total", "counter", "Session reads that re-scored their whole table.")
-	p.sample("backboned_session_full_rescores_total", float64(s.sessionFullRescores.Load()))
-	p.typ("backboned_session_owner_unavailable_total", "counter", "Session requests answered 503 because the owning peer was unreachable.")
-	p.sample("backboned_session_owner_unavailable_total", float64(s.sessionOwnerMiss.Load()))
+	p.single("backboned_sessions_active", "gauge", "Resident incremental sessions.", float64(s.sessionCount()))
+	p.single("backboned_session_creates_total", "counter", "Sessions opened (POST /session).", float64(s.sessionCreates.Load()))
+	p.single("backboned_session_updates_total", "counter", "Update batches applied to sessions.", float64(s.sessionUpdates.Load()))
+	p.single("backboned_session_reads_total", "counter", "Session backbone/score reads.", float64(s.sessionReads.Load()))
+	p.single("backboned_session_deletes_total", "counter", "Sessions closed with DELETE.", float64(s.sessionDeletes.Load()))
+	p.single("backboned_session_evictions_total", "counter", "Sessions evicted past -max-sessions.", float64(s.sessionEvictions.Load()))
+	p.single("backboned_session_delta_invalidations_total", "counter", "Per-session score tables dirtied by update batches.", float64(s.sessionInvalidations.Load()))
+	p.single("backboned_session_rescored_rows_total", "counter", "Score-table rows re-scored by incremental session reads.", float64(s.sessionRescoredRows.Load()))
+	p.single("backboned_session_full_rescores_total", "counter", "Session reads that re-scored their whole table.", float64(s.sessionFullRescores.Load()))
+	p.single("backboned_session_owner_unavailable_total", "counter", "Session requests answered 503 because the owning peer was unreachable.", float64(s.sessionOwnerMiss.Load()))
 
 	if s.graphDir != "" {
-		p.typ("backboned_mmap_hits_total", "counter", "Requests served a memory-mapped -graphdir graph.")
-		p.sample("backboned_mmap_hits_total", float64(s.mmapHits.Load()))
-		p.typ("backboned_mmap_misses_total", "counter", "Request digests with no usable -graphdir file.")
-		p.sample("backboned_mmap_misses_total", float64(s.mmapMisses.Load()))
-		p.typ("backboned_mmap_errors_total", "counter", "Unreadable or corrupt -graphdir files.")
-		p.sample("backboned_mmap_errors_total", float64(s.mmapErrors.Load()))
-		p.typ("backboned_mmap_graphs", "gauge", "Graphs currently memory-mapped.")
-		p.sample("backboned_mmap_graphs", float64(s.mmapLoads.Load()))
-		p.typ("backboned_mmap_bytes", "gauge", "Bytes currently memory-mapped from -graphdir.")
-		p.sample("backboned_mmap_bytes", float64(s.mmapBytes.Load()))
+		p.single("backboned_mmap_hits_total", "counter", "Requests served a memory-mapped -graphdir graph.", float64(s.mmapHits.Load()))
+		p.single("backboned_mmap_misses_total", "counter", "Request digests with no usable -graphdir file.", float64(s.mmapMisses.Load()))
+		p.single("backboned_mmap_errors_total", "counter", "Unreadable or corrupt -graphdir files.", float64(s.mmapErrors.Load()))
+		p.single("backboned_mmap_graphs", "gauge", "Graphs currently memory-mapped.", float64(s.mmapLoads.Load()))
+		p.single("backboned_mmap_bytes", "gauge", "Bytes currently memory-mapped from -graphdir.", float64(s.mmapBytes.Load()))
 	}
 
 	if s.fleet != nil {

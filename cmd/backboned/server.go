@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -10,12 +9,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +21,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/binfmt"
 	"repro/internal/cache"
-	"repro/internal/filter"
 	"repro/internal/fleet"
 	"repro/internal/graph"
 	"repro/internal/resilient"
@@ -94,14 +90,12 @@ type serverConfig struct {
 // status-code mapping, and the content-addressed caches that let
 // repeated identical bodies skip parsing and scoring.
 type server struct {
+	serverConfig
 	mux *http.ServeMux
 	// limiter is the adaptive, lane-aware worker-pool admission path
 	// (internal/admission): AIMD concurrency limit under the -workers
 	// hard cap, deadline-aware queueing, fast/cold priority lanes.
 	limiter *admission.Limiter
-	timeout time.Duration // per-request wall clock budget
-	maxBody int64
-	logf    func(format string, args ...any)
 	// Deadline accounting: expiredArrivals counts requests whose
 	// propagated budget (X-Backbone-Deadline) was already spent on
 	// arrival; expiredBeforeScoring counts scoring runs refused at the
@@ -120,16 +114,18 @@ type server struct {
 	scores   *cache.LRU[scoreKey, *repro.Scores]
 	start    time.Time
 	requests atomic.Uint64
+	// bodyDigests counts sha256 computations over request bodies: the
+	// pipeline derives each body's digest at most once (tests pin it).
+	bodyDigests atomic.Uint64
 	// evalRequests counts POST /evaluate calls; evalCacheSkips the
 	// method-scoring runs those calls skipped thanks to the
 	// content-addressed score cache (one per cached table).
 	evalRequests   atomic.Uint64
 	evalCacheSkips atomic.Uint64
-	// graphDir is the -graphdir root ("" disables the mmap fast path);
-	// mmapFiles memoizes one load attempt per body digest — mapped
-	// graphs are shared by every request for the life of the process
-	// and never closed, so handing them out without refcounting is safe.
-	graphDir  string
+	// mmapFiles memoizes one -graphdir load attempt per body digest —
+	// mapped graphs are shared by every request for the life of the
+	// process and never closed, so handing them out without refcounting
+	// is safe.
 	mmapMu    sync.Mutex
 	mmapFiles map[[sha256.Size]byte]*mmapEntry
 	// mmap fast-path counters: hits served a mapped graph, loads opened
@@ -138,14 +134,10 @@ type server struct {
 	// the successful loads keep mapped.
 	mmapHits, mmapLoads, mmapMisses, mmapErrors atomic.Uint64
 	mmapSections, mmapBytes                     atomic.Int64
-	// fleet is nil in single-node mode. fault is nil without -chaos.
-	fleet *fleet.Fleet
-	fault *resilient.Fault
 	// Incremental sessions (POST /session and friends, session.go):
 	// sessMu guards the map and each session's lastUsed recency stamp.
-	sessMu      sync.Mutex
-	sessions    map[string]*session
-	maxSessions int
+	sessMu   sync.Mutex
+	sessions map[string]*session
 	// Session counters. sessionInvalidations is the delta-invalidation
 	// count the tentpole asks for: how many per-session score tables an
 	// update stream dirtied (each will re-score only its dirty rows on
@@ -192,25 +184,18 @@ func newServer(cfg serverConfig) *server {
 		// path fills MaxConcurrent; fail loud rather than serve unbounded.
 		panic(err)
 	}
-	s := &server{
-		mux:       http.NewServeMux(),
-		limiter:   limiter,
-		timeout:   cfg.timeout,
-		maxBody:   cfg.maxBody,
-		logf:      cfg.logf,
-		graphs:    cache.New[graphKey, *repro.Graph](cfg.graphCacheBytes),
-		scores:    cache.New[scoreKey, *repro.Scores](cfg.scoreCacheBytes),
-		graphDir:  cfg.graphDir,
-		mmapFiles: map[[sha256.Size]byte]*mmapEntry{},
-		fleet:     cfg.fleet,
-		fault:     cfg.fault,
-		start:     time.Now(),
-
-		sessions:    map[string]*session{},
-		maxSessions: cfg.maxSessions,
+	if cfg.maxSessions <= 0 {
+		cfg.maxSessions = defaultMaxSessions
 	}
-	if s.maxSessions <= 0 {
-		s.maxSessions = defaultMaxSessions
+	s := &server{
+		serverConfig: cfg,
+		mux:          http.NewServeMux(),
+		limiter:      limiter,
+		graphs:       cache.New[graphKey, *repro.Graph](cfg.graphCacheBytes),
+		scores:       cache.New[scoreKey, *repro.Scores](cfg.scoreCacheBytes),
+		mmapFiles:    map[[sha256.Size]byte]*mmapEntry{},
+		start:        time.Now(),
+		sessions:     map[string]*session{},
 	}
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -219,18 +204,23 @@ func newServer(cfg serverConfig) *server {
 	s.mux.HandleFunc("/metricsz", s.handleMetricsz)
 	s.mux.HandleFunc("/methods", s.handleMethods)
 	s.mux.HandleFunc("/formats", s.handleFormats)
-	s.mux.HandleFunc("/backbone", s.handleRun)
-	s.mux.HandleFunc("/score", s.handleRun)
-	s.mux.HandleFunc("/evaluate", s.handleEvaluate)
-	s.mux.HandleFunc("POST /session", s.handleSessionCreate)
-	s.mux.HandleFunc("POST /session/{id}/update", s.handleSessionUpdate)
-	s.mux.HandleFunc("GET /session/{id}/backbone", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSessionRead(w, r, false)
+	run := &endpoint{s: s, post: true, classify: s.classifyBody, compute: s.computeRun}
+	s.mux.Handle("/backbone", run)
+	s.mux.Handle("/score", run)
+	s.mux.Handle("/evaluate", &endpoint{
+		s: s, post: true, multi: true, count: &s.evalRequests,
+		classify: s.classifyBody, compute: s.computeEvaluate,
 	})
-	s.mux.HandleFunc("GET /session/{id}/score", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSessionRead(w, r, true)
+	s.mux.Handle("POST /session", &endpoint{
+		s: s, pinned: true, classify: laneOf(admission.Cold, "session-create"), compute: s.computeSessionCreate,
 	})
-	s.mux.HandleFunc("DELETE /session/{id}", s.handleSessionDelete)
+	s.mux.Handle("POST /session/{id}/update", &endpoint{
+		s: s, byID: true, pinned: true, classify: laneOf(admission.Fast, "session-update"), compute: s.computeSessionUpdate,
+	})
+	read := &endpoint{s: s, byID: true, pinned: true, classify: s.classifySessionRead, compute: s.computeSessionRead}
+	s.mux.Handle("GET /session/{id}/backbone", read)
+	s.mux.Handle("GET /session/{id}/score", read)
+	s.mux.Handle("DELETE /session/{id}", &endpoint{s: s, byID: true, pinned: true, compute: s.computeSessionDelete})
 	return s
 }
 
@@ -273,7 +263,10 @@ func (s *server) fail(w http.ResponseWriter, status int, err error) {
 // timeout (504), a vanished client is 499, anything else is a 500.
 func statusFor(err error) int {
 	var pe *repro.ParamError
+	var se *statusError
 	switch {
+	case errors.As(err, &se):
+		return se.status
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -441,29 +434,6 @@ func (s *server) handleFormats(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(out)
 }
 
-// runRequest is a parsed /backbone or /score request: the input graph
-// (possibly served from the content-addressed cache under gkey), the
-// selected method, and the pipeline options and response shaping
-// derived from query parameters and (optionally) the JSON envelope.
-type runRequest struct {
-	g         *repro.Graph
-	gkey      graphKey
-	method    *repro.Method
-	params    filter.Params // resolved-name overrides, for /score validation
-	topSet    bool          // a top/frac pruning option is present
-	parallel  bool
-	opts      []repro.Option
-	outFormat string
-	asJSON    bool
-}
-
-// queryReserved are the query keys with fixed meanings; every other
-// key must name a parameter of the selected method.
-var queryReserved = map[string]bool{
-	"method": true, "top": true, "frac": true, "parallel": true,
-	"directed": true, "format": true, "outformat": true, "response": true,
-}
-
 // envelope is the JSON request body alternative to a raw edge list.
 // Query parameters override envelope fields.
 type envelope struct {
@@ -494,16 +464,6 @@ func contentTypeFormat(ct string) string {
 		return "ndjson"
 	}
 	return ""
-}
-
-// parseStatus maps a parse-phase error to its HTTP status: context
-// expiry keeps its dedicated codes (a cache follower can observe its
-// own cancellation while waiting), everything else is a caller mistake.
-func parseStatus(err error) int {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return statusFor(err)
-	}
-	return http.StatusBadRequest
 }
 
 // buildEnvelopeGraph constructs the graph carried inline in a JSON
@@ -625,825 +585,6 @@ func (s *server) mmapGraph(sum [sha256.Size]byte, directed bool) *repro.Graph {
 	return g
 }
 
-// resolveGraph turns a fully read request body into a parsed graph
-// through the content-addressed cache: identical bodies parse once,
-// concurrent identical bodies parse once between them. It handles both
-// raw edge lists (format from ?format=, the Content-Type, or sniffed)
-// and JSON envelopes; outFormat is the format name the response should
-// mirror ("" when sniffed or enveloped). The int return is the HTTP
-// status when err != nil.
-func (s *server) resolveGraph(ctx context.Context, r *http.Request, body []byte) (g *repro.Graph, gkey graphKey, env *envelope, outFormat string, status int, err error) {
-	q := r.URL.Query()
-	ct := r.Header.Get("Content-Type")
-	if mt, _, err := mime.ParseMediaType(ct); err == nil {
-		ct = mt
-	}
-
-	if ct == "application/json" {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.UseNumber()
-		env = &envelope{}
-		if err := dec.Decode(env); err != nil {
-			return nil, gkey, nil, "", http.StatusBadRequest, fmt.Errorf("bad JSON envelope: %v", err)
-		}
-		if len(env.Edges) == 0 {
-			return nil, gkey, nil, "", http.StatusBadRequest, fmt.Errorf("JSON envelope has no edges")
-		}
-		directed := env.Directed
-		if v := q.Get("directed"); v != "" {
-			directed = v == "true" || v == "1"
-		}
-		gkey = graphKey{sum: sha256.Sum256(body), mode: "envelope", directed: directed}
-		g, _, err := s.graphs.Do(ctx, gkey, func() (*repro.Graph, int64, error) {
-			g, err := buildEnvelopeGraph(env, directed)
-			if err != nil {
-				return nil, 0, err
-			}
-			return g, graphCost(g), nil
-		})
-		if err != nil {
-			return nil, gkey, nil, "", parseStatus(err), err
-		}
-		return g, gkey, env, "", 0, nil
-	}
-
-	directed := q.Get("directed") == "true" || q.Get("directed") == "1"
-	inFormat := q.Get("format")
-	if inFormat == "" {
-		inFormat = contentTypeFormat(ct)
-	}
-	mode := "sniff"
-	readOpts := []repro.IOOption{repro.WithDirected(directed)}
-	if inFormat != "" {
-		f, err := repro.LookupFormat(inFormat)
-		if err != nil {
-			return nil, gkey, nil, "", http.StatusBadRequest, err
-		}
-		outFormat = f.Name // default response format mirrors input
-		readOpts = append(readOpts, repro.WithFormat(f.Name))
-		mode = f.Name
-	}
-	gkey = graphKey{sum: sha256.Sum256(body), mode: mode, directed: directed}
-	// -graphdir fast path: a pre-converted binary twin of this body is
-	// memory-mapped instead of parsed (and instead of occupying LRU
-	// budget — the mapping is shared and the page cache owns the bytes).
-	if mg := s.mmapGraph(gkey.sum, directed); mg != nil {
-		return mg, gkey, nil, outFormat, 0, nil
-	}
-	g, _, err = s.graphs.Do(ctx, gkey, func() (*repro.Graph, int64, error) {
-		g, err := repro.ReadGraph(bytes.NewReader(body), readOpts...)
-		if err != nil {
-			return nil, 0, fmt.Errorf("bad edge list: %w", err)
-		}
-		return g, graphCost(g), nil
-	})
-	if err != nil {
-		return nil, gkey, nil, "", parseStatus(err), err
-	}
-	return g, gkey, nil, outFormat, 0, nil
-}
-
-// parseRun turns the HTTP request (body already read in full) into a
-// runRequest: the graph via resolveGraph, then method selection,
-// parameters and response shaping via parseRunOptions. The int return
-// is the HTTP status when err != nil.
-func (s *server) parseRun(ctx context.Context, r *http.Request, body []byte) (*runRequest, int, error) {
-	req := &runRequest{}
-	g, gkey, env, outFormat, status, err := s.resolveGraph(ctx, r, body)
-	if err != nil {
-		return nil, status, err
-	}
-	req.g, req.gkey, req.outFormat = g, gkey, outFormat
-	if status, err := s.parseRunOptions(r, env, req); err != nil {
-		return nil, status, err
-	}
-	return req, 0, nil
-}
-
-// parseRunOptions fills a runRequest's method, parameters, pruning and
-// response shaping from the query string (and, when the body was a
-// JSON envelope, the envelope's fields — query overrides envelope).
-// Shared between the stateless scoring endpoints (after resolveGraph)
-// and the session read endpoints (whose graph lives in the session).
-// The int return is the HTTP status when err != nil.
-func (s *server) parseRunOptions(r *http.Request, env *envelope, req *runRequest) (int, error) {
-	q := r.URL.Query()
-
-	// Method selection and parameters: query overrides envelope.
-	methodName := "nc"
-	if env != nil && env.Method != "" {
-		methodName = env.Method
-	}
-	if v := q.Get("method"); v != "" {
-		methodName = v
-	}
-	m, err := repro.LookupMethod(methodName)
-	if err != nil {
-		return http.StatusBadRequest, err
-	}
-	req.method = m
-	req.params = filter.Params{}
-	req.opts = append(req.opts, repro.WithMethod(m.Name))
-	if env != nil {
-		for name, v := range env.Params {
-			req.params[name] = v
-			req.opts = append(req.opts, repro.WithParam(name, v))
-		}
-		// Envelope pruning applies only when the query carries none:
-		// "query overrides envelope" must hold across option kinds, or
-		// an envelope "top" would silently beat a query ?frac= (the
-		// pipeline prefers topK whenever both are set).
-		if q.Get("top") == "" && q.Get("frac") == "" {
-			if env.Top != nil {
-				req.topSet = true
-				req.opts = append(req.opts, repro.WithTopK(*env.Top))
-			}
-			if env.Frac != nil {
-				req.topSet = true
-				req.opts = append(req.opts, repro.WithTopFraction(*env.Frac))
-			}
-		}
-		if env.Parallel {
-			req.parallel = true
-			req.opts = append(req.opts, repro.WithParallel())
-		}
-	}
-	for name, vals := range q {
-		if queryReserved[name] {
-			continue
-		}
-		if _, ok := m.Param(name); !ok {
-			return http.StatusBadRequest, &repro.ParamError{
-				Method: m.Name, Param: name,
-				Reason: "unknown query parameter",
-				Err:    repro.ErrUnknownParam,
-			}
-		}
-		v, err := strconv.ParseFloat(vals[0], 64)
-		if err != nil {
-			return http.StatusBadRequest, &repro.ParamError{
-				Method: m.Name, Param: name,
-				Reason: fmt.Sprintf("not a number: %q", vals[0]),
-			}
-		}
-		req.params[name] = v
-		req.opts = append(req.opts, repro.WithParam(name, v))
-	}
-	if v := q.Get("top"); v != "" {
-		k, err := strconv.Atoi(v)
-		if err != nil {
-			return http.StatusBadRequest, &repro.ParamError{Param: "top", Reason: fmt.Sprintf("not an integer: %q", v)}
-		}
-		req.topSet = true
-		req.opts = append(req.opts, repro.WithTopK(k))
-	}
-	if v := q.Get("frac"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return http.StatusBadRequest, &repro.ParamError{Param: "frac", Reason: fmt.Sprintf("not a number: %q", v)}
-		}
-		req.topSet = true
-		req.opts = append(req.opts, repro.WithTopFraction(f))
-	}
-	if v := q.Get("parallel"); v == "true" || v == "1" {
-		req.parallel = true
-		req.opts = append(req.opts, repro.WithParallel())
-	}
-
-	// Response shaping.
-	if v := q.Get("outformat"); v != "" {
-		f, err := repro.LookupFormat(v)
-		if err != nil {
-			return http.StatusBadRequest, err
-		}
-		req.outFormat = f.Name
-	}
-	if req.outFormat == "" {
-		req.outFormat = "csv"
-	}
-	if q.Get("response") == "json" || strings.Contains(r.Header.Get("Accept"), "application/json") {
-		req.asJSON = true
-	}
-	return 0, nil
-}
-
-// cachedScores resolves one method's significance table for a parsed
-// body through the score cache with single-flight de-duplication:
-// identical bodies with the same method score once, no matter how the
-// method's parameters differ (they only move thresholds). Both
-// /backbone and /evaluate ride this, so the two endpoints share one
-// table per (body, method). The returned hit flag reports whether this
-// call skipped scoring.
-func (s *server) cachedScores(ctx context.Context, gkey graphKey, g *repro.Graph, method string, parallel bool) (*repro.Scores, bool, error) {
-	key := scoreKey{g: gkey, method: method}
-	return s.scores.Do(ctx, key, func() (*repro.Scores, int64, error) {
-		if err := s.scoreGate(ctx); err != nil {
-			return nil, 0, err
-		}
-		opts := []repro.Option{repro.WithMethod(method)}
-		if parallel {
-			opts = append(opts, repro.WithParallel())
-		}
-		sc, err := repro.ScoreContext(ctx, g, opts...)
-		if err != nil {
-			return nil, 0, err
-		}
-		return sc, scoresCost(sc), nil
-	})
-}
-
-// intake is the first half of the scoring endpoints' front door: apply
-// the per-request budget and read (and bound) the body. The budget is
-// the smaller of the local -timeout and the propagated
-// X-Backbone-Deadline header (remaining milliseconds, stamped by a
-// forwarding peer or a deadline-aware client); a budget already spent
-// upstream is answered 504 before any byte of work. On failure intake
-// has already written the error response and returns ok == false; on
-// success the caller must cancel with the request. The body is read
-// before worker-pool admission — it is I/O-bound, and draining it lets
-// the connection's background read detect a vanished client while the
-// request queues for a slot.
-func (s *server) intake(w http.ResponseWriter, r *http.Request) (ctx context.Context, cancel context.CancelFunc, body []byte, ok bool) {
-	budget := s.timeout
-	if v := r.Header.Get(fleet.DeadlineHeader); v != "" {
-		ms, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-		switch {
-		case err != nil:
-			// Garbage is ignored, not fatal: the header is advisory and
-			// the local -timeout still bounds the request.
-		case ms <= 0:
-			s.expiredArrivals.Add(1)
-			s.fail(w, http.StatusGatewayTimeout,
-				fmt.Errorf("request budget already expired upstream (%s: %s)", fleet.DeadlineHeader, v))
-			return nil, nil, nil, false
-		default:
-			if d := time.Duration(ms) * time.Millisecond; budget <= 0 || d < budget {
-				budget = d
-			}
-		}
-	}
-	ctx, cancel = r.Context(), func() {}
-	if budget > 0 {
-		ctx, cancel = context.WithTimeout(ctx, budget)
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
-		defer cancel()
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
-			return nil, nil, nil, false
-		}
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("read body: %v", err))
-		return nil, nil, nil, false
-	}
-	return ctx, cancel, body, true
-}
-
-// acquire is the second half: admission into the adaptive worker pool
-// (internal/admission) under the request's lane and latency cost key.
-// A shed — queue full, queue wait expired, or a budget that cannot
-// cover the observed p90 cost of the work ahead — is a 503 whose
-// Retry-After is computed from queue depth; a budget already expired
-// on arrival is a 504. On ok the caller MUST defer the ticket's
-// Release immediately — a panicking handler must still return its
-// slot, or the pool shrinks by one forever (regression-pinned by
-// TestPanickingHandlerReleasesSlot).
-func (s *server) acquire(ctx context.Context, w http.ResponseWriter, lane admission.Lane, costKey string) (*admission.Ticket, bool) {
-	tk, err := s.limiter.Acquire(ctx, lane, costKey)
-	if err == nil {
-		return tk, true
-	}
-	var shed *admission.ShedError
-	switch {
-	case errors.As(err, &shed):
-		w.Header().Set("Retry-After", strconv.Itoa(shed.RetryAfterSeconds()))
-		s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("worker pool saturated: %w", err))
-	case errors.Is(err, admission.ErrExpired):
-		s.fail(w, http.StatusGatewayTimeout, err)
-	default:
-		s.fail(w, http.StatusInternalServerError, err)
-	}
-	return nil, false
-}
-
-// classifyRun picks the admission lane and latency cost key for a
-// /backbone or /score request before any slot is held. Fast lane means
-// the method's significance table is already cached for this exact
-// body — serving is pruning plus serialization, no scoring — so such
-// requests are never starved behind cold scoring work. (An mmap-served
-// -graphdir body additionally skips parsing, but its first-touch
-// scoring is still cold work; once its table is cached it rides the
-// fast lane like any other hit.) The key derivation mirrors
-// resolveGraph; envelope bodies classify conservatively (their method
-// and directedness live in the unparsed JSON) and land in the cold
-// lane unless the query spells them out.
-func (s *server) classifyRun(r *http.Request, body []byte) (admission.Lane, string) {
-	q := r.URL.Query()
-	method := q.Get("method")
-	if method == "" {
-		method = "nc"
-	}
-	ct := r.Header.Get("Content-Type")
-	if mt, _, err := mime.ParseMediaType(ct); err == nil {
-		ct = mt
-	}
-	directed := q.Get("directed") == "true" || q.Get("directed") == "1"
-	mode := "sniff"
-	if ct == "application/json" {
-		mode = "envelope"
-	} else {
-		inFormat := q.Get("format")
-		if inFormat == "" {
-			inFormat = contentTypeFormat(ct)
-		}
-		if inFormat != "" {
-			if f, err := repro.LookupFormat(inFormat); err == nil {
-				mode = f.Name
-			}
-		}
-	}
-	gkey := graphKey{sum: sha256.Sum256(body), mode: mode, directed: directed}
-	if s.scores.Contains(scoreKey{g: gkey, method: method}) {
-		return admission.Fast, "cached"
-	}
-	return admission.Cold, method
-}
-
-// classifyEvaluate is classifyRun for /evaluate: fast lane only when
-// every selected method's table is cached, i.e. the whole comparison
-// runs without scoring a single edge.
-func (s *server) classifyEvaluate(r *http.Request, body []byte) (admission.Lane, string) {
-	q := r.URL.Query()
-	var methods []string
-	switch {
-	case q.Get("methods") != "":
-		for _, name := range strings.Split(q.Get("methods"), ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				methods = append(methods, name)
-			}
-		}
-	case q.Get("method") != "":
-		methods = []string{q.Get("method")}
-	default:
-		for _, m := range repro.Methods() {
-			if !m.CanScore() {
-				// An extract-only method has no cacheable table; the
-				// comparison will run it cold.
-				return admission.Cold, "evaluate"
-			}
-			methods = append(methods, m.Name)
-		}
-	}
-	ct := r.Header.Get("Content-Type")
-	if mt, _, err := mime.ParseMediaType(ct); err == nil {
-		ct = mt
-	}
-	if ct == "application/json" || len(methods) == 0 {
-		return admission.Cold, "evaluate"
-	}
-	directed := q.Get("directed") == "true" || q.Get("directed") == "1"
-	mode := "sniff"
-	inFormat := q.Get("format")
-	if inFormat == "" {
-		inFormat = contentTypeFormat(ct)
-	}
-	if inFormat != "" {
-		if f, err := repro.LookupFormat(inFormat); err == nil {
-			mode = f.Name
-		}
-	}
-	gkey := graphKey{sum: sha256.Sum256(body), mode: mode, directed: directed}
-	for _, name := range methods {
-		if !s.scores.Contains(scoreKey{g: gkey, method: name}) {
-			return admission.Cold, "evaluate"
-		}
-	}
-	return admission.Fast, "cached"
-}
-
-// scoreGate is the last check before scoring work starts: a request
-// whose deadline has already passed is refused here, whatever got it
-// this far (queue wait, parse time, a follower joining a dead
-// leader's flight). The violation counter records a past-deadline
-// start the context machinery had not yet surfaced — the overload e2e
-// asserts it stays zero.
-func (s *server) scoreGate(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		s.expiredBeforeScoring.Add(1)
-		return err
-	}
-	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
-		s.deadlineViolations.Add(1)
-		s.expiredBeforeScoring.Add(1)
-		return context.DeadlineExceeded
-	}
-	return nil
-}
-
-// servedByHeader names the peer whose worker pool computed (or cached)
-// the response; degradedHeader appears only when the body's owning
-// peer could not answer and the receiving peer computed the result
-// itself — correctness kept, cache locality lost.
-const (
-	servedByHeader = "X-Backbone-Served-By"
-	degradedHeader = "X-Backbone-Degraded"
-)
-
-// routed applies the fleet routing policy to one scoring request. It
-// returns true when the response has been fully written (the owning
-// peer answered and was relayed, or routing failed terminally); false
-// means the caller should execute locally — either because this peer
-// owns the body, the request already made its one forwarding hop, or
-// the owner is unavailable and the fleet degrades to local execution.
-func (s *server) routed(ctx context.Context, w http.ResponseWriter, r *http.Request, body []byte) (handled bool) {
-	if s.fleet == nil {
-		return false
-	}
-	if r.Header.Get(fleet.ForwardedHeader) != "" {
-		// Terminal hop: a peer already routed this request here; serve
-		// it locally whatever our own ring says, so divergent
-		// membership views cannot ping-pong a request.
-		w.Header().Set(servedByHeader, s.fleet.Self())
-		return false
-	}
-	d := fleet.Digest(sha256.Sum256(body))
-	addr := s.fleet.Owner(d)
-	if addr == s.fleet.Self() {
-		w.Header().Set(servedByHeader, addr)
-		return false
-	}
-	resp, err := s.fleet.Forward(ctx, addr, d, r.URL.Path, r.URL.RawQuery,
-		r.Header.Get("Content-Type"), r.Header.Get("Accept"), body)
-	if err != nil {
-		if ctx.Err() != nil {
-			// The request itself is out of budget (client gone or
-			// timeout): local execution could not finish either.
-			s.fail(w, statusFor(ctx.Err()), ctx.Err())
-			return true
-		}
-		// Degrade gracefully: the owner cannot answer, so this peer
-		// computes the result itself. Correctness is never lost on
-		// peer failure — only the owner's cache locality.
-		s.fleet.RecordFallback(addr)
-		reason := "peer-unavailable"
-		if errors.Is(err, resilient.ErrOpen) {
-			reason = "breaker-open"
-		}
-		s.logf("fleet: degrading to local execution for %s (%s): %v", addr, reason, err)
-		w.Header().Set(servedByHeader, s.fleet.Self())
-		w.Header().Set(degradedHeader, reason)
-		return false
-	}
-	for name, vals := range resp.Header {
-		w.Header()[name] = vals
-	}
-	w.Header().Set(servedByHeader, addr)
-	w.WriteHeader(resp.Status)
-	if _, err := w.Write(resp.Body); err != nil {
-		s.logf("fleet: relay response from %s: %v", addr, err)
-	}
-	return true
-}
-
-// chaosPartialLimit is how much of a response the partial-fault
-// injector lets through before aborting the connection.
-const chaosPartialLimit = 64
-
-// chaosWriter truncates the response after a byte budget and aborts
-// the connection (http.ErrAbortHandler unwinds through the handler and
-// net/http closes the stream mid-body) — the partial-response failure
-// a forwarding peer must detect and fall back from.
-type chaosWriter struct {
-	http.ResponseWriter
-	remaining int
-}
-
-func (cw *chaosWriter) Write(p []byte) (int, error) {
-	if len(p) <= cw.remaining {
-		cw.remaining -= len(p)
-		return cw.ResponseWriter.Write(p)
-	}
-	cw.ResponseWriter.Write(p[:cw.remaining]) //nolint:errcheck // aborting anyway
-	cw.remaining = 0
-	if f, ok := cw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-	panic(http.ErrAbortHandler)
-}
-
-// chaos applies the -chaos fault hooks to the local serving path:
-// injected latency/errors before any work, and a truncating writer
-// afterwards. It reports whether the request was failed by injection,
-// and the (possibly wrapped) writer to respond through.
-func (s *server) chaos(ctx context.Context, w http.ResponseWriter) (http.ResponseWriter, bool) {
-	if s.fault == nil {
-		return w, false
-	}
-	if err := s.fault.Inject(ctx); err != nil {
-		s.fail(w, statusFor(err), err)
-		return w, true
-	}
-	if s.fault.Partial() {
-		w = &chaosWriter{ResponseWriter: w, remaining: chaosPartialLimit}
-	}
-	return w, false
-}
-
-// handleRun serves POST /backbone and POST /score: per-request
-// timeout, read+hash the body, fleet routing (forward to the digest's
-// owning peer, or fall back local), admission into the bounded worker
-// pool, parse (through the graph cache), score (through the score
-// cache), prune, respond. Only the body read and the forward happen
-// before admission — forwarding must not hold a local worker slot
-// hostage to a remote peer's latency, or a slow peer would saturate
-// this pool too and couple the failure domains the fleet exists to
-// separate. Parsing is multi-core since the chunked codec, so it runs
-// inside the pool with the scoring it feeds. X-Backbone-Cache reports
-// "hit" when a cached table let the request skip both parsing and
-// scoring, else "miss".
-func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("%s requires POST", r.URL.Path))
-		return
-	}
-	s.requests.Add(1)
-	ctx, cancel, body, ok := s.intake(w, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	if s.routed(ctx, w, r, body) {
-		return
-	}
-	lane, costKey := s.classifyRun(r, body)
-	tk, ok := s.acquire(ctx, w, lane, costKey)
-	if !ok {
-		return
-	}
-	// The outcome feeds the AIMD controller: OK completions are
-	// latency evidence, a deadline death mid-execution is a congestion
-	// signal, everything else (caller mistakes, panics, vanished
-	// clients) is noise.
-	outcome := admission.Errored
-	defer func() { tk.Release(outcome) }()
-	done := func(status int, err error) {
-		if status == http.StatusGatewayTimeout {
-			outcome = admission.Timeout
-		}
-		s.fail(w, status, err)
-	}
-	w, failed := s.chaos(ctx, w)
-	if failed {
-		return
-	}
-
-	req, status, err := s.parseRun(ctx, r, body)
-	if err != nil {
-		done(status, err)
-		return
-	}
-
-	scoreOnly := strings.HasPrefix(r.URL.Path, "/score")
-	if scoreOnly {
-		// The cached-scores path skips ScoreContext, so reproduce its
-		// caller-mistake checks here: no pruning options, and every
-		// parameter override must be declared by the method.
-		if req.topSet {
-			done(http.StatusInternalServerError, errors.New("repro: Score returns the full table; prune with Backbone's WithTopK/WithTopFraction or the table's own TopK"))
-			return
-		}
-		if _, err := req.method.Resolve(req.params); err != nil {
-			done(statusFor(err), err)
-			return
-		}
-	}
-
-	// A precomputed table only helps when something will prune it:
-	// top/frac, the method's own Cut rule, or a /score response. A
-	// scorer without Cut (ds) otherwise runs its Extractor as always.
-	useTable := req.method.CanScore() && (scoreOnly || req.topSet || req.method.Cut != nil)
-	var scores *repro.Scores
-	cacheState := "miss"
-	if useTable {
-		sc, hit, err := s.cachedScores(ctx, req.gkey, req.g, req.method.Name, req.parallel)
-		if err != nil {
-			done(statusFor(err), err)
-			return
-		}
-		scores = sc
-		if hit {
-			cacheState = "hit"
-		}
-		// A cached table references its own (identical-content) graph;
-		// downstream pruning and coverage must use that same value.
-		req.g = sc.G
-	} else if scoreOnly {
-		// Extract-only methods cannot serve /score; surface the typed
-		// error exactly as the pipeline would.
-		var serr error
-		if serr = s.scoreGate(ctx); serr == nil {
-			_, serr = repro.ScoreContext(ctx, req.g, req.opts...)
-			if serr == nil {
-				serr = fmt.Errorf("method %q produced no table", req.method.Name)
-			}
-		}
-		done(statusFor(serr), serr)
-		return
-	}
-	w.Header().Set("X-Backbone-Cache", cacheState)
-
-	if scoreOnly {
-		outcome = admission.OK
-		s.writeScores(w, req, scores)
-		return
-	}
-	if err := s.scoreGate(ctx); err != nil {
-		done(statusFor(err), err)
-		return
-	}
-	runOpts := req.opts
-	if scores != nil {
-		runOpts = append(runOpts, repro.WithScores(scores))
-	}
-	res, err := repro.BackboneContext(ctx, req.g, runOpts...)
-	if err != nil {
-		done(statusFor(err), err)
-		return
-	}
-	outcome = admission.OK
-	s.writeBackbone(w, req, res)
-}
-
-// evalReserved are the query keys with fixed meanings on /evaluate;
-// every other key must name a parameter of some selected method.
-// "outformat" and "response" are accepted no-ops (the report is always
-// JSON) so clients can carry /backbone query habits over.
-var evalReserved = map[string]bool{
-	"method": true, "methods": true, "top": true, "frac": true,
-	"parallel": true, "directed": true, "format": true,
-	"outformat": true, "response": true,
-}
-
-// handleEvaluate serves POST /evaluate: one registry-wide, size-matched
-// method comparison of the body's network as a JSON report. It shares
-// the front door (timeout, body bound, worker pool — so 413/499/503/504
-// behave exactly like /backbone), the content-addressed graph cache,
-// and the per-(body, method) score cache: re-evaluating a cached body
-// skips scoring entirely, which the X-Backbone-Cache: hit header and
-// the /statsz evaluate counters report.
-func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("%s requires POST", r.URL.Path))
-		return
-	}
-	s.requests.Add(1)
-	s.evalRequests.Add(1)
-	ctx, cancel, body, ok := s.intake(w, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	if s.routed(ctx, w, r, body) {
-		return
-	}
-	lane, costKey := s.classifyEvaluate(r, body)
-	tk, ok := s.acquire(ctx, w, lane, costKey)
-	if !ok {
-		return
-	}
-	outcome := admission.Errored
-	defer func() { tk.Release(outcome) }()
-	done := func(status int, err error) {
-		if status == http.StatusGatewayTimeout {
-			outcome = admission.Timeout
-		}
-		s.fail(w, status, err)
-	}
-	w, failed := s.chaos(ctx, w)
-	if failed {
-		return
-	}
-
-	g, gkey, env, _, status, err := s.resolveGraph(ctx, r, body)
-	if err != nil {
-		done(status, err)
-		return
-	}
-
-	// Method narrowing: ?methods= (comma list) wins, then ?method=
-	// (/backbone's singular spelling), then the envelope's method field;
-	// with none of them every registered method is compared. Name
-	// validation is the engine's (unknown method → 400 via statusFor).
-	q := r.URL.Query()
-	var methods []string
-	switch {
-	case q.Get("methods") != "":
-		for _, name := range strings.Split(q.Get("methods"), ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				methods = append(methods, name)
-			}
-		}
-	case q.Get("method") != "":
-		methods = []string{q.Get("method")}
-	case env != nil && env.Method != "":
-		methods = []string{env.Method}
-	}
-	if err := s.scoreGate(ctx); err != nil {
-		done(statusFor(err), err)
-		return
-	}
-	// Concurrency 1: one admitted /evaluate request runs at most one
-	// scoring computation at a time, so -workers stays an honest cap on
-	// concurrent scoring regardless of how many methods are compared.
-	opts := []repro.Option{repro.WithEvalConcurrency(1)}
-	if len(methods) > 0 {
-		opts = append(opts, repro.WithMethods(methods...))
-	}
-
-	// Parameters and pruning: envelope fields first, query overrides —
-	// the same precedence as /backbone. Ride-along declaration (at
-	// least one selected method must declare each parameter) is
-	// enforced by the engine and maps to 400.
-	parallel := q.Get("parallel") == "true" || q.Get("parallel") == "1"
-	if env != nil {
-		parallel = parallel || env.Parallel
-		for name, v := range env.Params {
-			opts = append(opts, repro.WithParam(name, v))
-		}
-		if env.Top != nil && q.Get("top") == "" && q.Get("frac") == "" {
-			opts = append(opts, repro.WithTopK(*env.Top))
-		}
-		if env.Frac != nil && q.Get("top") == "" && q.Get("frac") == "" {
-			opts = append(opts, repro.WithTopFraction(*env.Frac))
-		}
-	}
-	if parallel {
-		opts = append(opts, repro.WithParallel())
-	}
-	for name, vals := range q {
-		if evalReserved[name] {
-			continue
-		}
-		v, err := strconv.ParseFloat(vals[0], 64)
-		if err != nil {
-			done(http.StatusBadRequest, &repro.ParamError{
-				Param: name, Reason: fmt.Sprintf("not a number: %q", vals[0]),
-			})
-			return
-		}
-		opts = append(opts, repro.WithParam(name, v))
-	}
-	if v := q.Get("top"); v != "" {
-		k, err := strconv.Atoi(v)
-		if err != nil {
-			done(http.StatusBadRequest, &repro.ParamError{Param: "top", Reason: fmt.Sprintf("not an integer: %q", v)})
-			return
-		}
-		opts = append(opts, repro.WithTopK(k))
-	}
-	if v := q.Get("frac"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			done(http.StatusBadRequest, &repro.ParamError{Param: "frac", Reason: fmt.Sprintf("not a number: %q", v)})
-			return
-		}
-		opts = append(opts, repro.WithTopFraction(f))
-	}
-
-	// Every method's table resolves through the shared score cache, so
-	// tables computed by earlier /backbone, /score or /evaluate calls on
-	// the same body are reused and concurrent identical evaluations
-	// coalesce per method.
-	opts = append(opts, repro.WithScoreSource(func(ctx context.Context, m *repro.Method) (*repro.Scores, bool, error) {
-		return s.cachedScores(ctx, gkey, g, m.Name, parallel)
-	}))
-
-	rep, err := repro.CompareContext(ctx, g, opts...)
-	if err != nil {
-		done(statusFor(err), err)
-		return
-	}
-	outcome = admission.OK
-	s.evalCacheSkips.Add(uint64(rep.CacheHits))
-
-	cacheState := "miss"
-	if rep.ScoredMethods > 0 && rep.CacheHits == rep.ScoredMethods {
-		cacheState = "hit" // every needed table was cached: zero scoring ran
-	}
-	w.Header().Set("X-Backbone-Cache", cacheState)
-	w.Header().Set("X-Backbone-Eval-Methods", strconv.Itoa(len(rep.Methods)))
-	w.Header().Set("X-Backbone-Eval-Scored", strconv.Itoa(rep.ScoredMethods))
-	w.Header().Set("X-Backbone-Eval-Cached", strconv.Itoa(rep.CacheHits))
-	w.Header().Set("X-Backbone-Duration-Ms", strconv.FormatInt(rep.DurationMs, 10))
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(rep); err != nil {
-		s.logf("write evaluate response: %v", err)
-	}
-}
-
 // handleStatsz reports process uptime, request count, cache counters
 // and — in fleet mode — per-peer forwarding/breaker counters as JSON:
 // the daemon's operational introspection endpoint.
@@ -1535,20 +676,23 @@ func graphEdges(g *repro.Graph) []edgeJSON {
 	return out
 }
 
-func (s *server) writeBackbone(w http.ResponseWriter, req *runRequest, res *repro.Result) {
+// writeBackbone is the write stage of a backbone answer over input
+// graph g.
+func (s *server) writeBackbone(c *call, g *repro.Graph, res *repro.Result) {
+	w := c.w
 	params, _ := json.Marshal(res.Params)
 	w.Header().Set("X-Backbone-Method", res.Method)
 	w.Header().Set("X-Backbone-Params", string(params))
 	w.Header().Set("X-Backbone-Edges", strconv.Itoa(res.Backbone.NumEdges()))
 	w.Header().Set("X-Backbone-Duration-Ms", strconv.FormatInt(res.Duration.Milliseconds(), 10))
-	if req.asJSON {
+	if c.asJSON {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]any{
 			"method":        res.Method,
 			"title":         res.Title,
 			"params":        res.Params,
-			"input_nodes":   req.g.NumNodes(),
-			"input_edges":   req.g.NumEdges(),
+			"input_nodes":   g.NumNodes(),
+			"input_edges":   g.NumEdges(),
 			"nodes":         res.Backbone.NumConnected(),
 			"edges":         len(res.Backbone.Edges()),
 			"node_coverage": res.NodeCoverage,
@@ -1558,44 +702,44 @@ func (s *server) writeBackbone(w http.ResponseWriter, req *runRequest, res *repr
 		})
 		return
 	}
-	w.Header().Set("Content-Type", responseContentType(req.outFormat))
-	if err := repro.WriteGraph(w, res.Backbone, repro.WithFormat(req.outFormat)); err != nil {
+	w.Header().Set("Content-Type", responseContentType(c.outFormat))
+	if err := repro.WriteGraph(w, res.Backbone, repro.WithFormat(c.outFormat)); err != nil {
 		s.logf("write response: %v", err)
 	}
 }
 
-func (s *server) writeScores(w http.ResponseWriter, req *runRequest, scores *repro.Scores) {
+// writeScores is the write stage of a score-table answer.
+func (s *server) writeScores(c *call, scores *repro.Scores) {
+	w := c.w
 	g := scores.G
 	edges := g.Edges()
+	row := func(i int) edgeJSON {
+		e := edges[i]
+		return edgeJSON{Src: g.LabelOrID(int(e.Src)), Dst: g.LabelOrID(int(e.Dst)), Weight: e.Weight, Score: scores.Score[i]}
+	}
 	w.Header().Set("X-Backbone-Method", scores.Method)
 	w.Header().Set("X-Backbone-Edges", strconv.Itoa(len(edges)))
-	if req.asJSON {
-		rows := make([]edgeJSON, 0, len(edges))
-		for i, e := range edges {
-			rows = append(rows, edgeJSON{
-				Src: g.LabelOrID(int(e.Src)), Dst: g.LabelOrID(int(e.Dst)),
-				Weight: e.Weight, Score: scores.Score[i],
-			})
+	if c.asJSON {
+		rows := make([]edgeJSON, len(edges))
+		for i := range edges {
+			rows[i] = row(i)
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]any{"method": scores.Method, "scores": rows})
 		return
 	}
-	w.Header().Set("Content-Type", responseContentType(req.outFormat))
+	w.Header().Set("Content-Type", responseContentType(c.outFormat))
 	bw := bufio.NewWriter(w)
 	defer bw.Flush()
-	switch req.outFormat {
+	switch c.outFormat {
 	case "ndjson":
 		enc := json.NewEncoder(bw)
-		for i, e := range edges {
-			enc.Encode(edgeJSON{
-				Src: g.LabelOrID(int(e.Src)), Dst: g.LabelOrID(int(e.Dst)),
-				Weight: e.Weight, Score: scores.Score[i],
-			})
+		for i := range edges {
+			enc.Encode(row(i))
 		}
 	default:
 		sep := ","
-		if req.outFormat == "tsv" {
+		if c.outFormat == "tsv" {
 			sep = "\t"
 		}
 		fmt.Fprintf(bw, "src%sdst%sweight%sscore\n", sep, sep, sep)

@@ -955,8 +955,8 @@ func TestScoreValidationPreserved(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Error("/score with top accepted; want error")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("/score with top: status %d, want 400 (a caller mistake)", resp.StatusCode)
 	}
 
 	env := `{"method":"nc","params":{"bogus":1},"edges":[{"src":"a","dst":"b","weight":3}]}`

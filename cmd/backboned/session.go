@@ -33,7 +33,6 @@ import (
 	"repro"
 	"repro/internal/admission"
 	"repro/internal/filter"
-	"repro/internal/fleet"
 	"repro/internal/graph"
 )
 
@@ -56,8 +55,7 @@ type sessionTable struct {
 // not concurrency-safe); lastUsed is guarded by server.sessMu, not mu,
 // so eviction scans never wait on a session mid-score.
 type session struct {
-	id  string
-	sum [sha256.Size]byte // creating body's digest: the fleet routing anchor
+	id string // embeds the creating body's digest: the fleet routing anchor
 
 	mu    sync.Mutex
 	delta *graph.Delta
@@ -67,10 +65,8 @@ type session struct {
 	// an exclusive delta, its in-place surrender).
 	lastDirty graph.Dirty
 	tables    map[string]*sessionTable
-	applied   uint64 // total updates accepted
-
-	created  time.Time
-	lastUsed time.Time // guarded by server.sessMu
+	applied   uint64    // total updates accepted
+	lastUsed  time.Time // guarded by server.sessMu
 }
 
 // newSessionID derives a session ID: the body digest in hex (every
@@ -160,91 +156,19 @@ func (s *server) sessionCount() int {
 	return len(s.sessions)
 }
 
-// sessionRouted applies fleet policy to one session request. Stateful
-// routes differ from routed() in two ways: the routing digest comes
-// from the session ID (not the request body), and there is no degrade
-// to local execution — only the rendezvous owner holds the delta, so
-// an unreachable owner is a 503 the client retries, never a silently
-// diverging answer. flightSum keys forward coalescing: reads pass the
-// session digest (identical concurrent reads may legally share one
-// upstream response), updates pass the update body's own digest (set
-// semantics make identical bodies idempotent, distinct bodies must
-// not coalesce).
-func (s *server) sessionRouted(ctx context.Context, w http.ResponseWriter, r *http.Request, sum, flightSum [sha256.Size]byte, body []byte) (handled bool) {
-	if s.fleet == nil {
-		return false
+// computeSessionCreate is the compute step of POST /session: resolve
+// the body exactly as POST /backbone would (content-addressed graph
+// cache included), pin a delta overlay over the result, and answer with
+// the session ID.
+func (s *server) computeSessionCreate(c *call) error {
+	if err := s.resolveGraph(c); err != nil {
+		return err
 	}
-	if r.Header.Get(fleet.ForwardedHeader) != "" {
-		w.Header().Set(servedByHeader, s.fleet.Self())
-		return false
-	}
-	addr := s.fleet.Owner(fleet.Digest(sum))
-	if addr == s.fleet.Self() {
-		w.Header().Set(servedByHeader, addr)
-		return false
-	}
-	resp, err := s.fleet.ForwardRequest(ctx, addr, fleet.Digest(flightSum), r.Method,
-		r.URL.Path, r.URL.RawQuery, r.Header.Get("Content-Type"), r.Header.Get("Accept"), body)
+	g := c.g
+	id, err := newSessionID(c.key.sum)
 	if err != nil {
-		if ctx.Err() != nil {
-			s.fail(w, statusFor(ctx.Err()), ctx.Err())
-			return true
-		}
-		s.sessionOwnerMiss.Add(1)
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, http.StatusServiceUnavailable,
-			fmt.Errorf("session owner %s unavailable (sessions do not degrade): %v", addr, err))
-		return true
+		return err
 	}
-	for name, vals := range resp.Header {
-		w.Header()[name] = vals
-	}
-	w.Header().Set(servedByHeader, addr)
-	w.WriteHeader(resp.Status)
-	if _, err := w.Write(resp.Body); err != nil {
-		s.logf("fleet: relay session response from %s: %v", addr, err)
-	}
-	return true
-}
-
-// handleSessionCreate serves POST /session: parse the body exactly as
-// POST /backbone would (content-addressed graph cache included), pin a
-// delta overlay over the result, and answer with the session ID.
-func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	ctx, cancel, body, ok := s.intake(w, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	if s.fleet != nil {
-		sum := sha256.Sum256(body)
-		if s.sessionRouted(ctx, w, r, sum, sum, body) {
-			return
-		}
-	}
-	tk, ok := s.acquire(ctx, w, admission.Cold, "session-create")
-	if !ok {
-		return
-	}
-	outcome := admission.Errored
-	defer func() { tk.Release(outcome) }()
-	w, failed := s.chaos(ctx, w)
-	if failed {
-		return
-	}
-
-	g, gkey, _, _, status, err := s.resolveGraph(ctx, r, body)
-	if err != nil {
-		s.fail(w, status, err)
-		return
-	}
-	id, err := newSessionID(gkey.sum)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
-	}
-	now := time.Now()
 	// Exclusive delta: sess.mu serializes every read/update cycle and
 	// the session retains nothing beyond the latest materialization and
 	// per-method table, so each generation's arrays are recycled in
@@ -252,26 +176,25 @@ func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	delta := graph.NewDelta(g, 0)
 	delta.SetExclusive(true)
 	sess := &session{
-		id:      id,
-		sum:     gkey.sum,
-		delta:   delta,
-		g:       g,
-		tables:  map[string]*sessionTable{},
-		created: now,
+		id:     id,
+		delta:  delta,
+		g:      g,
+		tables: map[string]*sessionTable{},
 	}
 	s.putSession(sess)
 	s.sessionCreates.Add(1)
 
-	outcome = admission.OK
-	w.Header().Set("Location", "/session/"+id)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	json.NewEncoder(w).Encode(map[string]any{
+	c.outcome = admission.OK
+	c.w.Header().Set("Location", "/session/"+id)
+	c.w.Header().Set("Content-Type", "application/json")
+	c.w.WriteHeader(http.StatusCreated)
+	json.NewEncoder(c.w).Encode(map[string]any{
 		"session":  id,
 		"nodes":    g.NumNodes(),
 		"edges":    g.NumEdges(),
 		"directed": g.Directed(),
 	})
+	return nil
 }
 
 // sessionUpdateBody is the POST /session/{id}/update wire form. Edges
@@ -287,50 +210,18 @@ type sessionUpdateEdge struct {
 	Weight *float64 `json:"weight"`
 }
 
-// handleSessionUpdate serves POST /session/{id}/update: batched edge
-// upserts/deletes into the session's delta overlay. No scoring runs
-// here — dirtiness is recorded and the next read pays only for the
-// rows it invalidated.
-func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	id := r.PathValue("id")
-	sum, ok := parseSessionID(id)
-	if !ok {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("malformed session id %q", id))
-		return
-	}
-	ctx, cancel, body, ok := s.intake(w, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	if s.sessionRouted(ctx, w, r, sum, sha256.Sum256(body), body) {
-		return
-	}
-	tk, ok := s.acquire(ctx, w, admission.Fast, "session-update")
-	if !ok {
-		return
-	}
-	outcome := admission.Errored
-	defer func() { tk.Release(outcome) }()
-	w, failed := s.chaos(ctx, w)
-	if failed {
-		return
-	}
-
-	sess := s.getSession(id)
-	if sess == nil {
-		s.fail(w, http.StatusNotFound, fmt.Errorf("unknown session %q", id))
-		return
-	}
+// computeSessionUpdate is the compute step of POST
+// /session/{id}/update: batched edge upserts/deletes into the session's
+// delta overlay. No scoring runs here — dirtiness is recorded and the
+// next read pays only for the rows it invalidated.
+func (s *server) computeSessionUpdate(c *call) error {
+	sess := c.sess
 	var ub sessionUpdateBody
-	if err := json.Unmarshal(body, &ub); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad update body: %v", err))
-		return
+	if err := json.Unmarshal(c.body, &ub); err != nil {
+		return &statusError{http.StatusBadRequest, fmt.Errorf("bad update body: %v", err)}
 	}
 	if len(ub.Updates) == 0 {
-		s.fail(w, http.StatusBadRequest, errors.New(`update body has no updates (want {"updates":[{"src":...,"dst":...,"weight":...}]})`))
-		return
+		return &statusError{http.StatusBadRequest, errors.New(`update body has no updates (want {"updates":[{"src":...,"dst":...,"weight":...}]})`)}
 	}
 
 	sess.mu.Lock()
@@ -340,13 +231,11 @@ func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 	for i, e := range ub.Updates {
 		src := base.NodeID(e.Src)
 		if src < 0 {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("updates[%d].src: unknown node %q", i, e.Src))
-			return
+			return &statusError{http.StatusBadRequest, fmt.Errorf("updates[%d].src: unknown node %q", i, e.Src)}
 		}
 		dst := base.NodeID(e.Dst)
 		if dst < 0 {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("updates[%d].dst: unknown node %q", i, e.Dst))
-			return
+			return &statusError{http.StatusBadRequest, fmt.Errorf("updates[%d].dst: unknown node %q", i, e.Dst)}
 		}
 		var weight float64
 		if e.Weight != nil {
@@ -355,20 +244,20 @@ func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 		ups = append(ups, graph.Update{Src: int32(src), Dst: int32(dst), Weight: weight})
 	}
 	if err := sess.delta.Apply(ups); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		return &statusError{http.StatusBadRequest, err}
 	}
 	sess.applied += uint64(len(ups))
 	s.sessionUpdates.Add(1)
 
-	outcome = admission.OK
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"session":       id,
+	c.outcome = admission.OK
+	c.w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(c.w).Encode(map[string]any{
+		"session":       c.id,
 		"applied":       len(ups),
 		"pending":       sess.delta.Pending(),
 		"updates_total": sess.applied,
 	})
+	return nil
 }
 
 // advance materializes the session's delta and folds the resulting
@@ -380,27 +269,21 @@ func (sess *session) advance() (g *repro.Graph, invalidated int) {
 	if g == sess.g {
 		return g, 0
 	}
-	if dirty.Base != sess.g {
-		// Defensive: the delta materialized somewhere we did not observe,
-		// so the dirty record does not connect to our last snapshot and
-		// pending accumulation cannot be trusted. Drop every table —
-		// the next read of each method pays a full (still bit-identical)
-		// rescore instead of risking a stale row.
-		//lint:detiter-ok every table is reset; order does not matter
-		for name, t := range sess.tables {
-			if t.scores != nil {
-				invalidated++
-			}
-			delete(sess.tables, name)
-		}
-		sess.g, sess.lastDirty = g, dirty
-		return g, invalidated
-	}
-	//lint:detiter-ok every table is updated; order does not matter
-	for _, t := range sess.tables {
-		t.pending = mergeDirtyNodes(t.pending, dirty.Nodes)
+	// Defensive: a dirty record that does not connect to our last
+	// snapshot means the delta materialized somewhere we did not
+	// observe, so pending accumulation cannot be trusted. Drop every
+	// table then — the next read of each method pays a full (still
+	// bit-identical) rescore instead of risking a stale row.
+	reset := dirty.Base != sess.g
+	//lint:detiter-ok every table is updated or dropped; order does not matter
+	for name, t := range sess.tables {
 		if t.scores != nil {
 			invalidated++
+		}
+		if reset {
+			delete(sess.tables, name)
+		} else {
+			t.pending = mergeDirtyNodes(t.pending, dirty.Nodes)
 		}
 	}
 	sess.g, sess.lastDirty = g, dirty
@@ -453,88 +336,33 @@ func (s *server) sessionScores(ctx context.Context, sess *session, g *repro.Grap
 	return sc, rescored, nil
 }
 
-// classifySessionRead picks the admission lane for a session read:
-// fast when the method's table already exists in the session (the read
-// is a frontier rescore plus serialization), cold on first touch.
-func (s *server) classifySessionRead(id, method string) (admission.Lane, string) {
-	s.sessMu.Lock()
-	sess := s.sessions[id]
-	s.sessMu.Unlock()
+// classifySessionRead is the classify stage of session reads: fast
+// when the method's table already exists in the session (the read is a
+// frontier rescore plus serialization), cold on first touch.
+func (s *server) classifySessionRead(c *call) (admission.Lane, string) {
+	names, _ := c.methodNames()
+	sess := s.getSession(c.id)
 	if sess == nil {
 		return admission.Fast, "session-read" // 404s should not queue behind scoring
 	}
 	sess.mu.Lock()
-	t := sess.tables[method]
+	t := sess.tables[names[0]]
 	warm := t != nil && t.scores != nil
 	sess.mu.Unlock()
 	if warm {
 		return admission.Fast, "session-read"
 	}
-	return admission.Cold, method
+	return admission.Cold, names[0]
 }
 
-// handleSessionRead serves GET /session/{id}/backbone and /score: the
-// stateless /backbone | /score contract evaluated against the
-// session's current (base + updates) edge set, incrementally.
-func (s *server) handleSessionRead(w http.ResponseWriter, r *http.Request, scoreOnly bool) {
-	s.requests.Add(1)
-	id := r.PathValue("id")
-	sum, ok := parseSessionID(id)
-	if !ok {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("malformed session id %q", id))
-		return
+// computeSessionRead is the compute step of GET /session/{id}/backbone
+// and /score: the stateless /backbone | /score answer evaluated against
+// the session's current (base + updates) edge set, incrementally.
+func (s *server) computeSessionRead(c *call) error {
+	sess := c.sess
+	if err := c.resolveOptions(); err != nil {
+		return err
 	}
-	ctx, cancel, _, ok := s.intake(w, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	if s.sessionRouted(ctx, w, r, sum, sum, nil) {
-		return
-	}
-	methodName := r.URL.Query().Get("method")
-	if methodName == "" {
-		methodName = "nc"
-	}
-	lane, costKey := s.classifySessionRead(id, methodName)
-	tk, ok := s.acquire(ctx, w, lane, costKey)
-	if !ok {
-		return
-	}
-	outcome := admission.Errored
-	defer func() { tk.Release(outcome) }()
-	done := func(status int, err error) {
-		if status == http.StatusGatewayTimeout {
-			outcome = admission.Timeout
-		}
-		s.fail(w, status, err)
-	}
-	w, failed := s.chaos(ctx, w)
-	if failed {
-		return
-	}
-
-	sess := s.getSession(id)
-	if sess == nil {
-		done(http.StatusNotFound, fmt.Errorf("unknown session %q", id))
-		return
-	}
-	req := &runRequest{}
-	if status, err := s.parseRunOptions(r, nil, req); err != nil {
-		done(status, err)
-		return
-	}
-	if scoreOnly {
-		if req.topSet {
-			done(http.StatusInternalServerError, errors.New("repro: Score returns the full table; prune with Backbone's WithTopK/WithTopFraction or the table's own TopK"))
-			return
-		}
-		if _, err := req.method.Resolve(req.params); err != nil {
-			done(statusFor(err), err)
-			return
-		}
-	}
-
 	s.sessionReads.Add(1)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -542,80 +370,22 @@ func (s *server) handleSessionRead(w http.ResponseWriter, r *http.Request, score
 	if invalidated > 0 {
 		s.sessionInvalidations.Add(uint64(invalidated))
 	}
-	req.g = g
-
-	useTable := req.method.CanScore() && (scoreOnly || req.topSet || req.method.Cut != nil)
-	var scores *repro.Scores
-	rescored := 0
-	if useTable {
-		sc, n, err := s.sessionScores(ctx, sess, g, req.method, req.parallel)
-		if err != nil {
-			done(statusFor(err), err)
-			return
-		}
-		scores, rescored = sc, n
-	} else if scoreOnly {
-		var serr error
-		if serr = s.scoreGate(ctx); serr == nil {
-			_, serr = repro.ScoreContext(ctx, g, req.opts...)
-			if serr == nil {
-				serr = fmt.Errorf("method %q produced no table", req.method.Name)
-			}
-		}
-		done(statusFor(serr), serr)
-		return
-	}
-	cacheState := "miss"
-	if scores != nil && rescored == 0 {
-		cacheState = "hit"
-	}
-	w.Header().Set("X-Backbone-Cache", cacheState)
-	w.Header().Set("X-Backbone-Session", id)
-	w.Header().Set("X-Backbone-Rescored", strconv.Itoa(rescored))
-
-	if scoreOnly {
-		outcome = admission.OK
-		s.writeScores(w, req, scores)
-		return
-	}
-	if err := s.scoreGate(ctx); err != nil {
-		done(statusFor(err), err)
-		return
-	}
-	runOpts := req.opts
-	if scores != nil {
-		runOpts = append(runOpts, repro.WithScores(scores))
-	}
-	res, err := repro.BackboneContext(ctx, g, runOpts...)
-	if err != nil {
-		done(statusFor(err), err)
-		return
-	}
-	outcome = admission.OK
-	s.writeBackbone(w, req, res)
+	c.w.Header().Set("X-Backbone-Session", c.id)
+	c.w.Header().Set("X-Backbone-Rescored", "0")
+	return s.answer(c, g, func() (*repro.Scores, bool, error) {
+		sc, rescored, err := s.sessionScores(c.ctx, sess, g, c.method, c.parallel)
+		c.w.Header().Set("X-Backbone-Rescored", strconv.Itoa(rescored))
+		return sc, rescored == 0, err
+	})
 }
 
-// handleSessionDelete serves DELETE /session/{id}.
-func (s *server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	id := r.PathValue("id")
-	sum, ok := parseSessionID(id)
-	if !ok {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("malformed session id %q", id))
-		return
+// computeSessionDelete is the compute step of DELETE /session/{id}. A
+// delete that lost a race with another for the same session is still
+// answered 204, but counted once.
+func (s *server) computeSessionDelete(c *call) error {
+	if s.dropSession(c.id) {
+		s.sessionDeletes.Add(1)
 	}
-	ctx, cancel, _, ok := s.intake(w, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	if s.sessionRouted(ctx, w, r, sum, sum, nil) {
-		return
-	}
-	if !s.dropSession(id) {
-		s.fail(w, http.StatusNotFound, fmt.Errorf("unknown session %q", id))
-		return
-	}
-	s.sessionDeletes.Add(1)
-	w.WriteHeader(http.StatusNoContent)
+	c.w.WriteHeader(http.StatusNoContent)
+	return nil
 }

@@ -154,8 +154,9 @@ func WithParallel() Option {
 }
 
 // WithScores supplies a precomputed significance table so Backbone can
-// skip scoring and go straight to pruning — the backboned daemon's
-// score cache rides on this. The table must belong to the same *Graph
+// skip scoring and go straight to pruning, and Score can return it
+// after checking the options — the backboned daemon's score cache
+// rides on this. The table must belong to the same *Graph
 // value (enforced), and must have been produced by the selected
 // method — that pairing is the caller's contract and cannot be
 // verified, because Scores.Method names the concrete scorer variant
@@ -353,8 +354,10 @@ func BackboneContext(ctx context.Context, g *Graph, opts ...Option) (*Result, er
 
 // Score computes the selected method's per-edge significance table
 // without pruning; prune the returned table with its Threshold, TopK
-// or TopFraction. Pruning options (WithTopK, WithTopFraction) are an
-// error here, as are extract-only methods (mst).
+// or TopFraction. Pruning options (WithTopK, WithTopFraction) are a
+// *ParamError here, and extract-only methods (mst) fail with
+// ErrNoScorer. Given WithScores, Score checks the options as usual and
+// returns that table instead of scoring.
 //
 //	s, err := repro.Score(g, repro.WithMethod("hss"))
 //
@@ -371,7 +374,11 @@ func ScoreContext(ctx context.Context, g *Graph, opts ...Option) (*Scores, error
 		return nil, err
 	}
 	if c.topKSet || c.fracSet {
-		return nil, fmt.Errorf("repro: Score returns the full table; prune with Backbone's WithTopK/WithTopFraction or the table's own TopK")
+		param := "top"
+		if !c.topKSet {
+			param = "frac"
+		}
+		return nil, &ParamError{Method: m.Name, Param: param, Reason: "Score returns the full table; prune with Backbone's WithTopK/WithTopFraction or the table's own TopK"}
 	}
 	// Parameters only shift thresholds, never the table itself, but an
 	// undeclared parameter still signals a caller bug.
@@ -388,6 +395,12 @@ func ScoreContext(ctx context.Context, g *Graph, opts ...Option) (*Scores, error
 		}
 		s, _, err := filter.RescoreDirty(ctx, m, c.dirtyOld, c.dirty, so)
 		return s, err
+	}
+	if c.scores != nil {
+		if c.scores.G != g {
+			return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "precomputed table belongs to a different graph"}
+		}
+		return c.scores, nil
 	}
 	return m.ScoreCtx(ctx, g, so)
 }

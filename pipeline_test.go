@@ -168,11 +168,37 @@ func TestPipelineOptionValidation(t *testing.T) {
 	if _, err := Score(g, WithMethod("df"), WithDelta(2)); err == nil {
 		t.Error("Score accepted delta for df")
 	}
-	if _, err := Score(g, WithTopK(3)); err == nil {
-		t.Error("Score accepted WithTopK")
+	var pe *ParamError
+	if _, err := Score(g, WithTopK(3)); !errors.As(err, &pe) || pe.Param != "top" {
+		t.Errorf("Score with WithTopK: %v, want a *ParamError for top", err)
 	}
-	if _, err := Score(g, WithTopFraction(0.5)); err == nil {
-		t.Error("Score accepted WithTopFraction")
+	if _, err := Score(g, WithTopFraction(0.5)); !errors.As(err, &pe) || pe.Param != "frac" {
+		t.Errorf("Score with WithTopFraction: %v, want a *ParamError for frac", err)
+	}
+}
+
+// TestScoreWithScores: given a precomputed table, Score checks the
+// options as usual and returns that table instead of scoring; a table
+// of another graph is refused.
+func TestScoreWithScores(t *testing.T) {
+	g := pipelineGraph(t)
+	sc, err := Score(g, WithMethod("df"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Score(g, WithMethod("df"), WithAlpha(0.01), WithScores(sc))
+	if err != nil || got != sc {
+		t.Fatalf("Score(WithScores) = %p, %v; want the supplied table %p", got, err, sc)
+	}
+	if _, err := Score(g, WithMethod("df"), WithTopK(2), WithScores(sc)); err == nil {
+		t.Error("Score(WithScores) accepted WithTopK")
+	}
+	if _, err := Score(g, WithMethod("df"), WithDelta(2), WithScores(sc)); err == nil {
+		t.Error("Score(WithScores) accepted delta for df")
+	}
+	other := pipelineGraph(t)
+	if _, err := Score(other, WithMethod("df"), WithScores(sc)); err == nil {
+		t.Error("Score(WithScores) accepted a table of another graph")
 	}
 }
 
