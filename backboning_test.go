@@ -18,7 +18,7 @@ lisbon,madrid,12
 madrid,rome,14
 berlin,madrid,9
 `
-	g, err := ReadCSV(strings.NewReader(csv), false)
+	g, err := ReadGraph(strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if g.NumNodes() != 5 || g.NumEdges() != 8 {
 		t.Fatalf("parsed %d nodes %d edges", g.NumNodes(), g.NumEdges())
 	}
-	scores, err := NCScores(g)
+	scores, err := Score(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err := bb.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
-	round, err := ReadCSV(strings.NewReader(sb.String()), false)
+	round, err := ReadGraph(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,29 +59,28 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeAllMethodsRun(t *testing.T) {
 	g := demoGraph(t)
-	if _, err := NCBackbone(g, 1.0); err != nil {
-		t.Errorf("NC: %v", err)
+	for _, opts := range [][]Option{
+		{WithMethod("nc"), WithDelta(1.0)},
+		{WithMethod("df"), WithAlpha(0.2)},
+		{WithMethod("hss"), WithSalience(0.5)},
+		{WithMethod("ds")},
+		{WithMethod("nt"), WithWeightThreshold(10)},
+	} {
+		if _, err := Backbone(g, opts...); err != nil {
+			t.Error(err)
+		}
 	}
-	if _, err := NCBinomialScores(g); err != nil {
+	s, err := Score(g, WithMethod("nc-binomial"))
+	if err != nil {
+		t.Errorf("NC binomial: %v", err)
+	} else if err := s.Validate(); err != nil {
 		t.Errorf("NC binomial: %v", err)
 	}
-	if _, err := DisparityBackbone(g, 0.2); err != nil {
-		t.Errorf("DF: %v", err)
-	}
-	if _, err := HSSBackbone(g, 0.5); err != nil {
-		t.Errorf("HSS: %v", err)
-	}
-	if _, err := DoublyStochasticBackbone(g); err != nil {
-		t.Errorf("DS: %v", err)
-	}
-	tree, err := MaximumSpanningTree(g)
+	tree, err := Backbone(g, WithMethod("mst"))
 	if err != nil {
 		t.Errorf("MST: %v", err)
-	} else if tree.NumEdges() != g.NumNodes()-1 {
-		t.Errorf("MST edges = %d", tree.NumEdges())
-	}
-	if _, err := NaiveBackbone(g, 10); err != nil {
-		t.Errorf("naive: %v", err)
+	} else if tree.Backbone.NumEdges() != g.NumNodes()-1 {
+		t.Errorf("MST edges = %d", tree.Backbone.NumEdges())
 	}
 }
 
@@ -114,31 +113,31 @@ func TestFacadeNCEdgeAndPValues(t *testing.T) {
 
 func TestFacadeKCoreAndParallel(t *testing.T) {
 	g := demoGraph(t)
-	s, err := KCoreScores(g)
+	s, err := Score(g, WithMethod("kcore"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bb, err := KCoreBackbone(g, 2)
+	res, err := Backbone(g, WithMethod("kcore"), WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bb.NumEdges() == 0 {
+	if res.Backbone.NumEdges() == 0 {
 		t.Error("2-core empty on a dense demo graph")
 	}
-	par, err := NCScoresParallel(g)
+	par, err := Score(g, WithMethod("nc"), WithParallel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ser, err := NCScores(g)
+	ser, err := Score(g, WithMethod("nc"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range ser.Score {
 		if ser.Score[i] != par.Score[i] {
-			t.Fatal("parallel facade differs from serial")
+			t.Fatal("WithParallel changed the table")
 		}
 	}
 }

@@ -195,12 +195,19 @@ func BenchmarkFig9DS1k(b *testing.B)    { benchScorer(b, "ds", 1_000) }
 
 // Core-primitive benchmarks, independent of the experiment drivers.
 
+// BenchmarkNCScoresOnly100k times the serial NC scorer on its own —
+// Method.ScoreCtx's chunking across CPUs is timed by the core package's
+// BenchmarkParallelNC100k.
 func BenchmarkNCScoresOnly100k(b *testing.B) {
 	g := fig9Graph(b, 100_000)
+	m, err := LookupMethod("nc")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NCScores(g); err != nil {
+		if _, err := m.Scorer.Scores(g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -241,7 +248,7 @@ func BenchmarkGraphBuild1M(b *testing.B)   { benchGraphBuild(b, 700_000, 1_000_0
 
 func benchExtract(b *testing.B, n int, prune func(s *Scores) *Graph) {
 	g := fig9Graph(b, n)
-	s, err := NCScores(g)
+	s, err := Score(g, WithMethod("nc"))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -105,20 +105,21 @@ func (h *fleetHarness) ownerIndex(t testing.TB, body []byte) int {
 	return -1
 }
 
-// fleetBodies generates distinct CSV edge-list bodies until every peer
-// owns at least one, returning them grouped by owner index.
+// fleetBodies generates distinct CSV edge-list bodies until there are
+// at least total of them and every peer owns at least one (at most 200
+// seeds, as in bodyOwnedBy), returning them grouped by owner index.
 func (h *fleetHarness) fleetBodies(t testing.TB, total int) map[int][][]byte {
 	t.Helper()
 	byOwner := map[int][][]byte{}
-	for seed := int64(1); seed <= int64(total); seed++ {
+	n := 0
+	for seed := int64(1); seed < 200 && (n < total || len(byOwner) < len(h.addrs)); seed++ {
 		body := fleetGraphBody(t, seed)
 		i := h.ownerIndex(t, body)
 		byOwner[i] = append(byOwner[i], body)
+		n++
 	}
-	for i := range h.addrs {
-		if len(byOwner[i]) == 0 {
-			t.Fatalf("no generated body hashed to peer %d of %d; add seeds", i, len(h.addrs))
-		}
+	if len(byOwner) < len(h.addrs) {
+		t.Fatalf("no generated body hashed to one of the %d peers in 199 seeds", len(h.addrs))
 	}
 	return byOwner
 }

@@ -66,7 +66,6 @@ type call struct {
 	method    *repro.Method // the one method of /backbone, /score and session reads
 	opts      []repro.Option
 	topSet    bool // a top/frac pruning option is present
-	parallel  bool
 	outFormat string
 	asJSON    bool
 }
@@ -539,14 +538,14 @@ func (s *server) resolveGraph(c *call) error {
 
 // queryReserved are the query keys with fixed meanings; every other
 // key must name a parameter of the selected method (of some selected
-// method, for /evaluate).
+// method, for /evaluate). "parallel" is a no-op kept for old clients.
 var queryReserved = map[string]bool{
 	"method": true, "top": true, "frac": true, "parallel": true,
 	"directed": true, "format": true, "outformat": true, "response": true,
 }
 
 // resolveOptions is the options half of the resolve stage: the method,
-// its parameters, pruning and parallelism from the envelope and the
+// its parameters and pruning from the envelope and the
 // query — query overrides envelope, across option kinds — then the
 // response shaping. /evaluate leaves method names and parameter
 // declaration to the engine, and its report is always JSON, so
@@ -575,7 +574,6 @@ func (c *call) resolveOptions() error {
 		if q.Get("top") == "" && q.Get("frac") == "" {
 			top, frac = env.Top, env.Frac
 		}
-		c.parallel = env.Parallel
 	}
 	for name, vals := range q {
 		if queryReserved[name] || (multi && name == "methods") {
@@ -617,12 +615,6 @@ func (c *call) resolveOptions() error {
 		c.opts = append(c.opts, repro.WithTopFraction(*frac))
 	}
 	c.topSet = top != nil || frac != nil
-	if v := q.Get("parallel"); v == "true" || v == "1" {
-		c.parallel = true
-	}
-	if c.parallel {
-		c.opts = append(c.opts, repro.WithParallel())
-	}
 	if multi {
 		return nil
 	}
@@ -671,11 +663,7 @@ func (s *server) cachedScores(ctx context.Context, c *call, method string) (*rep
 		if err := s.scoreGate(ctx); err != nil {
 			return nil, 0, err
 		}
-		opts := []repro.Option{repro.WithMethod(method)}
-		if c.parallel {
-			opts = append(opts, repro.WithParallel())
-		}
-		sc, err := repro.ScoreContext(ctx, c.g, opts...)
+		sc, err := repro.ScoreContext(ctx, c.g, repro.WithMethod(method))
 		if err != nil {
 			return nil, 0, err
 		}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/binfmt"
 	"repro/internal/cache"
+	"repro/internal/filter"
 	"repro/internal/fleet"
 	"repro/internal/graph"
 	"repro/internal/resilient"
@@ -307,10 +308,12 @@ GET  /session/{id}/score    score table of the session's current edge set (incre
 DELETE /session/{id}        close a session
 
 Query parameters for POST: method (default nc), any method parameter
-(delta, alpha, ...), top, frac, parallel, directed, format (input),
-outformat (csv|tsv|ndjson), response=json. The body is an edge list in
-any registered format (gzip accepted, format sniffed), or a JSON
-envelope {"method":..., "params":{...}, "edges":[{"src":..,"dst":..,"weight":..}]}.
+(delta, alpha, ...), top, frac, directed, format (input),
+outformat (csv|tsv|ndjson), response=json. parallel is accepted and
+ignored: scoring uses every CPU on graphs above 4096 edges. The body
+is an edge list in any registered format (gzip accepted, format
+sniffed), or a JSON envelope
+{"method":..., "params":{...}, "edges":[{"src":..,"dst":..,"weight":..}]}.
 
 POST /evaluate compares every registered method (or ?methods=nc,df,...)
 at one common backbone size (?top= / ?frac=, default the top 10% of
@@ -394,12 +397,13 @@ type methodJSON struct {
 	Params    []paramJSON `json:"params"`
 	CanScore  bool        `json:"can_score"`
 	FixedSize bool        `json:"fixed_size,omitempty"`
-	Parallel  bool        `json:"parallel,omitempty"`
+	Parallel  bool        `json:"parallel,omitempty"` // a range scorer: rows split across CPUs
 }
 
 func (s *server) handleMethods(w http.ResponseWriter, r *http.Request) {
 	var out []methodJSON
 	for _, m := range repro.Methods() {
+		_, ranged := m.Scorer.(filter.RangeScorer)
 		mj := methodJSON{
 			Name:      m.Name,
 			Title:     m.Title,
@@ -407,7 +411,7 @@ func (s *server) handleMethods(w http.ResponseWriter, r *http.Request) {
 			Params:    []paramJSON{},
 			CanScore:  m.CanScore(),
 			FixedSize: m.FixedSize,
-			Parallel:  m.ParallelScorer != nil,
+			Parallel:  ranged,
 		}
 		for _, p := range m.Params {
 			mj.Params = append(mj.Params, paramJSON{Name: p.Name, Default: p.Default, Integer: p.Integer, Desc: p.Desc})
@@ -435,13 +439,13 @@ func (s *server) handleFormats(w http.ResponseWriter, r *http.Request) {
 }
 
 // envelope is the JSON request body alternative to a raw edge list.
-// Query parameters override envelope fields.
+// Query parameters override envelope fields. Unknown fields, such as
+// the no-op "parallel", are ignored.
 type envelope struct {
 	Method   string             `json:"method"`
 	Params   map[string]float64 `json:"params"`
 	Top      *int               `json:"top"`
 	Frac     *float64           `json:"frac"`
-	Parallel bool               `json:"parallel"`
 	Directed bool               `json:"directed"`
 	Edges    []envelopeEdge     `json:"edges"`
 }

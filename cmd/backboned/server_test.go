@@ -25,8 +25,13 @@ import (
 
 // slowScorer is a deliberately slow RangeScorer: every scored range
 // sleeps, so a few thousand edges take seconds and cancellation can be
-// observed deterministically mid-run.
+// observed deterministically mid-run. One table's ranges take turns
+// (slowTurns), so a request costs the same however many workers
+// Method.ScoreCtx splits its rows across.
 type slowScorer struct{ delay time.Duration }
+
+// slowTurns maps each slowtest table to the mutex its ranges share.
+var slowTurns sync.Map
 
 func (s slowScorer) Name() string { return "slowtest" }
 
@@ -35,6 +40,9 @@ func (s slowScorer) NewTable(g *graph.Graph) (*filter.Scores, error) {
 }
 
 func (s slowScorer) ScoreEdges(sc *filter.Scores, lo, hi int) {
+	mu, _ := slowTurns.LoadOrStore(sc, new(sync.Mutex))
+	mu.(*sync.Mutex).Lock()
+	defer mu.(*sync.Mutex).Unlock()
 	time.Sleep(s.delay)
 	for i := lo; i < hi; i++ {
 		sc.Score[i] = sc.G.Edge(i).Weight
@@ -246,6 +254,38 @@ func TestScoreEndpoint(t *testing.T) {
 	}
 	if out.Method != "nc" || len(out.Scores) != g.NumEdges() {
 		t.Errorf("got %d scores from %q, want %d from nc", len(out.Scores), out.Method, g.NumEdges())
+	}
+}
+
+// TestScoreMethodLabelIgnoresParallel: parallel=1 is a no-op, so /score
+// names the method "nc" in X-Backbone-Method and the JSON "method" field
+// and answers the same bytes with or without it, whichever request
+// filled the score cache first.
+func TestScoreMethodLabelIgnoresParallel(t *testing.T) {
+	_, ts := newTestServer(t, 2, 5*time.Second)
+	for i, order := range [][]string{{"", "&parallel=1"}, {"&parallel=1", ""}} {
+		body := encodeGraph(t, testGraph(t, 100+i), "csv").String()
+		var first string
+		for _, extra := range order {
+			resp, out := post(t, ts.URL+"/score?method=nc&response=json"+extra, "text/csv", body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("order %d %q: status %d: %s", i, extra, resp.StatusCode, out)
+			}
+			var got struct {
+				Method string `json:"method"`
+			}
+			if err := json.Unmarshal([]byte(out), &got); err != nil {
+				t.Fatal(err)
+			}
+			if h := resp.Header.Get("X-Backbone-Method"); h != "nc" || got.Method != "nc" {
+				t.Errorf("order %d %q: X-Backbone-Method %q, JSON method %q; want nc", i, extra, h, got.Method)
+			}
+			if first == "" {
+				first = out
+			} else if out != first {
+				t.Errorf("order %d %q: response differs from the first request's", i, extra)
+			}
+		}
 	}
 }
 

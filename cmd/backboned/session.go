@@ -294,7 +294,7 @@ func (sess *session) advance() (g *repro.Graph, invalidated int) {
 // current materialization, re-scoring only dirty rows. Must hold
 // sess.mu. Returns the fresh table and how many rows were re-scored
 // (0 = pure reuse).
-func (s *server) sessionScores(ctx context.Context, sess *session, g *repro.Graph, m *repro.Method, parallel bool) (*repro.Scores, int, error) {
+func (s *server) sessionScores(ctx context.Context, sess *session, g *repro.Graph, m *repro.Method) (*repro.Scores, int, error) {
 	t := sess.tables[m.Name]
 	if t == nil {
 		t = &sessionTable{}
@@ -323,8 +323,7 @@ func (s *server) sessionScores(ctx context.Context, sess *session, g *repro.Grap
 			old = nil
 		}
 	}
-	opts := filter.ScoreOpts{Parallel: parallel}
-	sc, rescored, err := filter.RescoreDirty(ctx, m, old, dirty, opts)
+	sc, rescored, err := filter.RescoreDirty(ctx, m, old, dirty, filter.ScoreOpts{})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -373,7 +372,7 @@ func (s *server) computeSessionRead(c *call) error {
 	c.w.Header().Set("X-Backbone-Session", c.id)
 	c.w.Header().Set("X-Backbone-Rescored", "0")
 	return s.answer(c, g, func() (*repro.Scores, bool, error) {
-		sc, rescored, err := s.sessionScores(c.ctx, sess, g, c.method, c.parallel)
+		sc, rescored, err := s.sessionScores(c.ctx, sess, g, c.method)
 		c.w.Header().Set("X-Backbone-Rescored", strconv.Itoa(rescored))
 		return sc, rescored == 0, err
 	})

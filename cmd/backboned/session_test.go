@@ -345,11 +345,11 @@ func TestSessionLifecycleBitIdentical(t *testing.T) {
 // TestSessionRescoredSubset pins the perf contract at the HTTP layer:
 // after the first (full) scoring read, a single-edge update re-scores
 // a strict subset of rows for a frontier method, and repeating the
-// read without updates re-scores nothing.
+// read without updates re-scores nothing. The no-op parallel=1 must
+// leave the table reusable too.
 func TestSessionRescoredSubset(t *testing.T) {
 	_, ts := newTestServer(t, 4, 30*time.Second)
 	g := testGraph(t, 400)
-	c := openSession(t, ts.URL, encodeGraph(t, g, "csv"))
 
 	rescoredOf := func(resp *http.Response) int {
 		t.Helper()
@@ -360,24 +360,27 @@ func TestSessionRescoredSubset(t *testing.T) {
 		return n
 	}
 
-	resp, _ := c.get("backbone", "method=df")
-	first := rescoredOf(resp)
-	if first != g.NumEdges() || resp.Header.Get("X-Backbone-Cache") != "miss" {
-		t.Fatalf("first read: rescored %d of %d, cache %q; want full miss",
-			first, g.NumEdges(), resp.Header.Get("X-Backbone-Cache"))
-	}
+	for _, query := range []string{"method=df", "method=df&parallel=1"} {
+		c := openSession(t, ts.URL, encodeGraph(t, g, "csv"))
+		resp, _ := c.get("backbone", query)
+		first := rescoredOf(resp)
+		if first != g.NumEdges() || resp.Header.Get("X-Backbone-Cache") != "miss" {
+			t.Fatalf("%s: first read: rescored %d of %d, cache %q; want full miss",
+				query, first, g.NumEdges(), resp.Header.Get("X-Backbone-Cache"))
+		}
 
-	w := 7.0
-	c.mustUpdate([]wireUpdate{{Src: g.Label(0), Dst: g.Label(1), Weight: &w}})
-	resp, _ = c.get("backbone", "method=df")
-	delta := rescoredOf(resp)
-	if delta == 0 || delta >= g.NumEdges() {
-		t.Fatalf("incremental read rescored %d of %d rows; want a strict non-empty subset", delta, g.NumEdges())
-	}
+		w := 7.0
+		c.mustUpdate([]wireUpdate{{Src: g.Label(0), Dst: g.Label(1), Weight: &w}})
+		resp, _ = c.get("backbone", query)
+		delta := rescoredOf(resp)
+		if delta == 0 || delta >= g.NumEdges() {
+			t.Fatalf("%s: incremental read rescored %d of %d rows; want a strict non-empty subset", query, delta, g.NumEdges())
+		}
 
-	resp, _ = c.get("backbone", "method=df")
-	if n := rescoredOf(resp); n != 0 || resp.Header.Get("X-Backbone-Cache") != "hit" {
-		t.Fatalf("repeat read: rescored %d, cache %q; want 0/hit", n, resp.Header.Get("X-Backbone-Cache"))
+		resp, _ = c.get("backbone", query)
+		if n := rescoredOf(resp); n != 0 || resp.Header.Get("X-Backbone-Cache") != "hit" {
+			t.Fatalf("%s: repeat read: rescored %d, cache %q; want 0/hit", query, n, resp.Header.Get("X-Backbone-Cache"))
+		}
 	}
 }
 

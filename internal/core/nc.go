@@ -138,7 +138,7 @@ func (nc *NoiseCorrected) NewTable(g *graph.Graph) (*filter.Scores, error) {
 // the table. Aux columns are bound to locals once, outside the hot
 // loop — a map lookup per edge per column would dominate the kernel.
 //
-//lint:ctxflow-ok RangeScorer kernel: the parallel framework checks ctx between checkpoint ranges
+//lint:ctxflow-ok RangeScorer kernel: Method.ScoreCtx checks ctx between checkpoint ranges
 func (nc *NoiseCorrected) ScoreEdges(out *filter.Scores, lo, hi int) {
 	g := out.G
 	// For undirected graphs each canonical edge is a single bilateral

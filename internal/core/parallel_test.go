@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -8,19 +9,23 @@ import (
 	"repro/internal/gen"
 )
 
+// TestParallelMatchesSerial: the NC kernel chunked by ParallelEdges is
+// bit-identical to the serial scorer for any worker count.
 func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	g := gen.ErdosRenyiGNM(rng, 3000, 9000) // above the serial fallback cutoff
+	g := gen.ErdosRenyiGNM(rng, 3000, 9000) // three checkpoint ranges
 	serial, err := New().Scores(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 2, 7} {
-		par, err := (&filter.Parallel{RS: New(), Workers: workers}).Scores(g)
+		nc := New()
+		par, err := nc.NewTable(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par.Method != "nc-parallel" {
+		filter.ParallelEdges(len(par.Score), workers, func(lo, hi int) { nc.ScoreEdges(par, lo, hi) })
+		if par.Method != "nc" {
 			t.Errorf("method = %q", par.Method)
 		}
 		for i := range serial.Score {
@@ -39,15 +44,21 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestParallelSmallGraphFallback: a graph within one checkpoint range
+// scores on one worker through the registry and keeps the method name.
 func TestParallelSmallGraphFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := gen.ErdosRenyiGNM(rng, 50, 100)
-	s, err := NewParallel().Scores(g)
+	m, err := filter.Lookup("nc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Method != "nc-parallel" {
-		t.Errorf("fallback lost method name: %q", s.Method)
+	s, err := m.ScoreCtx(context.Background(), g, filter.ScoreOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Method != "nc" {
+		t.Errorf("small graph lost method name: %q", s.Method)
 	}
 	if err := s.Validate(); err != nil {
 		t.Error(err)
@@ -66,13 +77,20 @@ func BenchmarkSerialNC100k(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelNC100k times the registry path, Method.ScoreCtx,
+// which splits the rows across every CPU.
 func BenchmarkParallelNC100k(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	g := gen.ErdosRenyiGNM(rng, 70_000, 100_000)
+	m, err := filter.Lookup("nc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewParallel().Scores(g); err != nil {
+		if _, err := m.ScoreCtx(ctx, g, filter.ScoreOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

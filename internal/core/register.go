@@ -19,9 +19,8 @@ func init() {
 		Params: []filter.Param{
 			{Name: "delta", Default: 1.64, Desc: "significance threshold in standard deviations (1.28/1.64/2.32 ≈ p 0.10/0.05/0.01)"},
 		},
-		Scorer:         New(),
-		ParallelScorer: NewParallel(),
-		Cut:            func(p filter.Params) float64 { return p["delta"] },
+		Scorer: New(),
+		Cut:    func(p filter.Params) float64 { return p["delta"] },
 		// The NC score reads the global total weight (N..), so any
 		// update dirties every row: incremental serving reuses the
 		// materialized graph but re-scores the full table.
@@ -35,9 +34,8 @@ func init() {
 		Params: []filter.Param{
 			{Name: "alpha", Default: 0.05, Desc: "significance level on the Binomial p-value"},
 		},
-		Scorer:         NewBinomial(),
-		ParallelScorer: filter.Parallelize(NewBinomial()),
-		Cut:            func(p filter.Params) float64 { return -math.Log10(p["alpha"]) },
+		Scorer: NewBinomial(),
+		Cut:    func(p filter.Params) float64 { return -math.Log10(p["alpha"]) },
 		// Same global N.. term as nc: every row dirties on any update.
 		Delta: &filter.DeltaScorer{Dirtiness: filter.DirtyGlobal},
 	})

@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"context"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -58,36 +59,42 @@ func (fakeRangeScorer) ScoreEdges(s *Scores, lo, hi int) {
 	}
 }
 
-func TestParallelizeMatchesSerial(t *testing.T) {
+func (f fakeRangeScorer) Scores(g *graph.Graph) (*Scores, error) { return Serial(f, g) }
+
+// TestScoreCtxMatchesSerial: Method.ScoreCtx splits a range scorer's
+// rows across workers once the graph exceeds one checkpoint range, and
+// the table equals the serial one row for row under the scorer's own
+// name, for graphs below, at and above the cutoff.
+func TestScoreCtxMatchesSerial(t *testing.T) {
+	old := Checkpoint
+	Checkpoint = 64
+	t.Cleanup(func() { Checkpoint = old })
+	m := &Method{Name: "fake", Scorer: fakeRangeScorer{}, Cut: func(Params) float64 { return 0 }}
 	rng := rand.New(rand.NewSource(5))
-	b := graph.NewBuilder(false)
-	b.AddNodes(200)
-	for i := 0; i < 5000; i++ {
-		u, v := rng.Intn(200), rng.Intn(200)
-		if u != v {
-			b.MustAddEdge(u, v, rng.Float64())
+	for _, edges := range []int{10, 64, 65, 5000} {
+		b := graph.NewBuilder(true)
+		b.AddNodes(edges + 1)
+		for i := 0; i < edges; i++ {
+			b.MustAddEdge(i, i+1, rng.Float64())
 		}
-	}
-	g := b.Build()
-	serial, err := Serial(fakeRangeScorer{}, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 3, 8} {
-		p := &Parallel{RS: fakeRangeScorer{}, Workers: workers, MinEdges: 1}
-		got, err := p.Scores(g)
+		g := b.Build()
+		serial, err := Serial(fakeRangeScorer{}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Method != "fake-parallel" {
-			t.Errorf("method = %q", got.Method)
+		got, err := m.ScoreCtx(context.Background(), g, ScoreOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Method != "fake" {
+			t.Errorf("%d edges: method = %q", edges, got.Method)
 		}
 		if err := got.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		for i := range serial.Score {
 			if got.Score[i] != serial.Score[i] || got.Aux["aux"][i] != serial.Aux["aux"][i] {
-				t.Fatalf("workers=%d: row %d differs", workers, i)
+				t.Fatalf("%d edges: row %d differs", edges, i)
 			}
 		}
 	}

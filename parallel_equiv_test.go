@@ -1,68 +1,52 @@
 package repro
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/filter"
 	"repro/internal/gen"
 )
 
-// TestRegisteredParallelScorersBitIdentical asserts the PR-2 perf
-// contract: every method registering a ParallelScorer (nc, df, nt,
-// nc-binomial) must produce a table bit-identical to its serial scorer,
-// Score and every Aux column, on a graph large enough to defeat the
-// serial fallback.
-func TestRegisteredParallelScorersBitIdentical(t *testing.T) {
+// TestRangeScorersBitIdentical pins the contract that lets every range
+// scorer split its rows across CPUs: for each registered method whose
+// Scorer is a filter.RangeScorer, Method.ScoreCtx yields a table
+// bit-identical, Score and every Aux column, to the scorer's own kernel
+// run over NewTable + filter.ParallelEdges with 1 worker and with 7, on
+// a graph large enough to engage several workers. The table keeps the
+// method's own name whatever the split.
+func TestRangeScorersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	g := gen.ErdosRenyiGNM(rng, 4000, 12_000) // above the 4096-edge cutoff
+	g := gen.ErdosRenyiGNM(rng, 4000, 12_000) // three checkpoint ranges
 
-	want := []string{"nc", "df", "nt", "nc-binomial"}
-	have := map[string]bool{}
+	var ranged []string
 	for _, m := range filter.All() {
-		if m.ParallelScorer == nil {
+		rs, ok := m.Scorer.(filter.RangeScorer)
+		if !ok {
 			continue
 		}
-		have[m.Name] = true
-		serial, err := m.Scorer.Scores(g)
+		ranged = append(ranged, m.Name)
+		got, err := m.ScoreCtx(context.Background(), g, filter.ScoreOpts{})
 		if err != nil {
-			t.Fatalf("%s: serial: %v", m.Name, err)
+			t.Fatalf("%s: ScoreCtx: %v", m.Name, err)
 		}
-		par, err := m.ParallelScorer.Scores(g)
-		if err != nil {
-			t.Fatalf("%s: parallel: %v", m.Name, err)
+		if got.Method != m.Scorer.Name() {
+			t.Errorf("%s: table method = %q, want %q", m.Name, got.Method, m.Scorer.Name())
 		}
-		if par.Method != m.ParallelScorer.Name() {
-			t.Errorf("%s: parallel method name = %q, want %q",
-				m.Name, par.Method, m.ParallelScorer.Name())
-		}
-		if len(par.Score) != len(serial.Score) {
-			t.Fatalf("%s: %d parallel scores, %d serial", m.Name, len(par.Score), len(serial.Score))
-		}
-		for i := range serial.Score {
-			if serial.Score[i] != par.Score[i] {
-				t.Fatalf("%s: score[%d] = %v parallel vs %v serial (must be bit-identical)",
-					m.Name, i, par.Score[i], serial.Score[i])
+		for _, workers := range []int{1, 7} {
+			want, err := rs.NewTable(g)
+			if err != nil {
+				t.Fatalf("%s: NewTable: %v", m.Name, err)
 			}
-		}
-		if len(par.Aux) != len(serial.Aux) {
-			t.Fatalf("%s: aux columns differ: %d vs %d", m.Name, len(par.Aux), len(serial.Aux))
-		}
-		for col := range serial.Aux {
-			pc, ok := par.Aux[col]
-			if !ok {
-				t.Fatalf("%s: parallel table missing aux %q", m.Name, col)
-			}
-			for i := range serial.Aux[col] {
-				if serial.Aux[col][i] != pc[i] {
-					t.Fatalf("%s: aux %q differs at row %d", m.Name, col, i)
-				}
-			}
+			filter.ParallelEdges(len(want.Score), workers, func(lo, hi int) { rs.ScoreEdges(want, lo, hi) })
+			requireTablesBitIdentical(t, fmt.Sprintf("%s, %d workers,", m.Name, workers), 0, got, want)
 		}
 	}
-	for _, name := range want {
-		if !have[name] {
-			t.Errorf("method %q does not register a parallel scorer", name)
-		}
+	slices.Sort(ranged)
+	if want := []string{"df", "nc", "nc-binomial", "nt"}; !slices.Equal(ranged, want) {
+		t.Errorf("range-scorer methods = %v, want %v", ranged, want)
 	}
 }

@@ -35,7 +35,6 @@ type config struct {
 	topKSet   bool
 	topFrac   float64
 	fracSet   bool
-	parallel  bool
 	scores    *Scores
 	dirtyOld  *Scores
 	dirty     graph.Dirty
@@ -146,11 +145,13 @@ func WithTopFraction(f float64) Option {
 	}
 }
 
-// WithParallel requests the method's multi-core scorer when it has one
-// (nc does); methods without one run serially, results are identical
-// either way.
+// WithParallel does nothing. Scoring picks its parallelism from the
+// graph: a range scorer (MethodsTable's Parallel column) splits its
+// rows across every CPU once the graph exceeds one checkpoint range.
+//
+// Deprecated: drop the option; it is accepted for one more release.
 func WithParallel() Option {
-	return func(c *config) { c.parallel = true }
+	return func(*config) {}
 }
 
 // WithScores supplies a precomputed significance table so Backbone can
@@ -158,11 +159,9 @@ func WithParallel() Option {
 // after checking the options — the backboned daemon's score cache
 // rides on this. The table must belong to the same *Graph
 // value (enforced), and must have been produced by the selected
-// method — that pairing is the caller's contract and cannot be
-// verified, because Scores.Method names the concrete scorer variant
-// ("nc-parallel"), not the registry entry. Method parameters (delta,
-// alpha, ...) still apply: they only move the pruning threshold, never
-// the table itself.
+// method — that pairing is the caller's contract. Method parameters
+// (delta, alpha, ...) still apply: they only move the pruning
+// threshold, never the table itself.
 func WithScores(s *Scores) Option {
 	return func(c *config) { c.scores = s }
 }
@@ -184,9 +183,10 @@ func WithDirtyScores(old *Scores, dirty Dirty) Option {
 
 // WithProgress registers a callback for long runs: fn is invoked after
 // every scored checkpoint range (a few thousand edges) with the
-// cumulative number of scored edges and the total. Parallel runs call
-// fn concurrently from worker goroutines, and BackboneAll interleaves
-// the progress of its methods, so fn must be safe for concurrent use.
+// cumulative number of scored edges and the total. Graphs above one
+// checkpoint range are scored by several workers that call fn
+// concurrently, and BackboneAll interleaves the progress of its
+// methods, so fn must be safe for concurrent use.
 // Methods that do not score by ranges (hss, mst, ds) report no
 // intermediate progress.
 func WithProgress(fn func(done, total int)) Option {
@@ -276,7 +276,7 @@ func Backbone(g *Graph, opts ...Option) (*Result, error) {
 //
 //	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 //	defer cancel()
-//	res, err := repro.BackboneContext(ctx, g, repro.WithMethod("nc"), repro.WithParallel())
+//	res, err := repro.BackboneContext(ctx, g, repro.WithMethod("nc"), repro.WithProgress(report))
 func BackboneContext(ctx context.Context, g *Graph, opts ...Option) (*Result, error) {
 	c, m, err := resolve(opts)
 	if err != nil {
@@ -285,7 +285,7 @@ func BackboneContext(ctx context.Context, g *Graph, opts ...Option) (*Result, er
 	if c.scores != nil && c.scores.G != g {
 		return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "precomputed table belongs to a different graph"}
 	}
-	so := filter.ScoreOpts{Parallel: c.parallel, Progress: c.progress}
+	so := filter.ScoreOpts{Progress: c.progress}
 	start := time.Now()
 	scores := c.scores
 	if c.dirtySet {
@@ -385,7 +385,7 @@ func ScoreContext(ctx context.Context, g *Graph, opts ...Option) (*Scores, error
 	if _, err := m.Resolve(c.params); err != nil {
 		return nil, err
 	}
-	so := filter.ScoreOpts{Parallel: c.parallel, Progress: c.progress}
+	so := filter.ScoreOpts{Progress: c.progress}
 	if c.dirtySet {
 		if c.scores != nil {
 			return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "WithScores and WithDirtyScores are mutually exclusive"}
@@ -497,7 +497,8 @@ func BackboneAllContext(ctx context.Context, g *Graph, methods []string, opts ..
 
 // MethodsTable renders the registered methods and their parameters as
 // a GitHub-flavored markdown table — the README's method table is this
-// function's output.
+// function's output. The Parallel column marks range scorers, whose
+// rows are split across CPUs on graphs above one checkpoint range.
 func MethodsTable() string {
 	out := "| Method | Name | Parameters | Parallel | Description |\n|---|---|---|---|---|\n"
 	for _, m := range Methods() {
@@ -516,7 +517,7 @@ func MethodsTable() string {
 			}
 		}
 		parallel := "—"
-		if m.ParallelScorer != nil {
+		if _, ok := m.Scorer.(filter.RangeScorer); ok {
 			parallel = "✓"
 		}
 		out += fmt.Sprintf("| `%s` | %s | %s | %s | %s |\n", m.Name, m.Title, params, parallel, m.Desc)

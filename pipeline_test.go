@@ -12,7 +12,7 @@ import (
 func pipelineGraph(t *testing.T) *Graph {
 	t.Helper()
 	csv := "a,b,10\na,c,9\nb,c,1\nc,d,8\nd,e,7\nc,e,2\nd,a,6\ne,b,5\nb,d,3\n"
-	g, err := ReadCSV(strings.NewReader(csv), false)
+	g, err := ReadGraph(strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,45 +62,6 @@ func TestLookupUnknownMethod(t *testing.T) {
 	}
 	if _, err := BackboneAll(pipelineGraph(t), []string{"nc", "bogus"}); err == nil {
 		t.Error("BackboneAll with unknown method succeeded")
-	}
-}
-
-// TestPipelineMatchesDeprecatedHelpers: the options pipeline reproduces
-// the flat per-method helpers edge for edge.
-func TestPipelineMatchesDeprecatedHelpers(t *testing.T) {
-	g := pipelineGraph(t)
-	type pair struct {
-		name string
-		old  func() (*Graph, error)
-		opts []Option
-	}
-	for _, p := range []pair{
-		{"nc", func() (*Graph, error) { return NCBackbone(g, 1.64) }, []Option{WithMethod("nc"), WithDelta(1.64)}},
-		{"df", func() (*Graph, error) { return DisparityBackbone(g, 0.3) }, []Option{WithMethod("df"), WithAlpha(0.3)}},
-		{"hss", func() (*Graph, error) { return HSSBackbone(g, 0.3) }, []Option{WithMethod("hss"), WithSalience(0.3)}},
-		{"ds", func() (*Graph, error) { return DoublyStochasticBackbone(g) }, []Option{WithMethod("ds")}},
-		{"mst", func() (*Graph, error) { return MaximumSpanningTree(g) }, []Option{WithMethod("mst")}},
-		{"nt", func() (*Graph, error) { return NaiveBackbone(g, 5) }, []Option{WithMethod("nt"), WithWeightThreshold(5)}},
-		{"kcore", func() (*Graph, error) { return KCoreBackbone(g, 3) }, []Option{WithMethod("kcore"), WithK(3)}},
-	} {
-		want, err := p.old()
-		if err != nil {
-			t.Fatalf("%s helper: %v", p.name, err)
-		}
-		res, err := Backbone(g, p.opts...)
-		if err != nil {
-			t.Fatalf("%s pipeline: %v", p.name, err)
-		}
-		if got := res.Backbone; got.NumEdges() != want.NumEdges() {
-			t.Errorf("%s: pipeline kept %d edges, helper %d", p.name, got.NumEdges(), want.NumEdges())
-		} else {
-			ws := want.EdgeSet()
-			for k := range res.Backbone.EdgeSet() {
-				if !ws[k] {
-					t.Errorf("%s: pipeline kept edge %v the helper dropped", p.name, k)
-				}
-			}
-		}
 	}
 }
 
@@ -236,7 +197,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("edge %d: serial %v, parallel %v", i, serial.Score[i], par.Score[i])
 		}
 	}
-	// Methods without a parallel scorer silently run serially.
+	// WithParallel is a no-op for every method, range scorer or not.
 	if _, err := Score(g, WithMethod("df"), WithParallel()); err != nil {
 		t.Errorf("df with WithParallel: %v", err)
 	}
