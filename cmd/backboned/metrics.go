@@ -112,12 +112,12 @@ func (s *server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	p.single("backboned_evaluate_requests_total", "counter", "POST /evaluate calls.", float64(s.evalRequests.Load()))
 	p.single("backboned_evaluate_cache_skips_total", "counter", "Method scorings /evaluate skipped via the score cache.", float64(s.evalCacheSkips.Load()))
 
-	p.single("backboned_sessions_active", "gauge", "Resident incremental sessions.", float64(s.sessionCount()))
+	p.single("backboned_sessions_active", "gauge", "Resident incremental sessions.", float64(s.sessions.Len()))
 	p.single("backboned_session_creates_total", "counter", "Sessions opened (POST /session).", float64(s.sessionCreates.Load()))
 	p.single("backboned_session_updates_total", "counter", "Update batches applied to sessions.", float64(s.sessionUpdates.Load()))
 	p.single("backboned_session_reads_total", "counter", "Session backbone/score reads.", float64(s.sessionReads.Load()))
 	p.single("backboned_session_deletes_total", "counter", "Sessions closed with DELETE.", float64(s.sessionDeletes.Load()))
-	p.single("backboned_session_evictions_total", "counter", "Sessions evicted past -max-sessions.", float64(s.sessionEvictions.Load()))
+	p.single("backboned_session_evictions_total", "counter", "Sessions evicted past -max-sessions.", float64(s.sessions.Stats().Evictions))
 	p.single("backboned_session_delta_invalidations_total", "counter", "Per-session score tables dirtied by update batches.", float64(s.sessionInvalidations.Load()))
 	p.single("backboned_session_rescored_rows_total", "counter", "Score-table rows re-scored by incremental session reads.", float64(s.sessionRescoredRows.Load()))
 	p.single("backboned_session_full_rescores_total", "counter", "Session reads that re-scored their whole table.", float64(s.sessionFullRescores.Load()))

@@ -129,12 +129,15 @@ func (s *server) stages(c *call) error {
 		}
 	}
 	if ep.byID {
-		if c.sess = s.getSession(c.id); c.sess == nil {
+		if c.sess, _ = s.sessions.Get(c.id); c.sess == nil {
 			return &statusError{http.StatusNotFound, fmt.Errorf("unknown session %q", c.id)}
 		}
 	}
 	err := ep.compute(c)
-	if err != nil && statusFor(err) == http.StatusGatewayTimeout {
+	switch {
+	case err == nil:
+		c.outcome = admission.OK
+	case statusFor(err) == http.StatusGatewayTimeout:
 		c.outcome = admission.Timeout
 	}
 	return err
@@ -715,17 +718,13 @@ func (s *server) answer(c *call, g *repro.Graph, table func() (*repro.Scores, bo
 		if err != nil {
 			return err
 		}
-		c.outcome = admission.OK
-		s.writeScores(c, sc)
-		return nil
+		return s.writeScores(c, sc)
 	}
 	res, err := repro.BackboneContext(c.ctx, g, opts...)
 	if err != nil {
 		return err
 	}
-	c.outcome = admission.OK
-	s.writeBackbone(c, g, res)
-	return nil
+	return s.writeBackbone(c, g, res)
 }
 
 // computeRun is the compute step of POST /backbone and POST /score.
@@ -769,7 +768,6 @@ func (s *server) computeEvaluate(c *call) error {
 	if err != nil {
 		return err
 	}
-	c.outcome = admission.OK
 	s.evalCacheSkips.Add(uint64(rep.CacheHits))
 
 	cacheState := "miss"

@@ -135,10 +135,10 @@ type server struct {
 	// the successful loads keep mapped.
 	mmapHits, mmapLoads, mmapMisses, mmapErrors atomic.Uint64
 	mmapSections, mmapBytes                     atomic.Int64
-	// Incremental sessions (POST /session and friends, session.go):
-	// sessMu guards the map and each session's lastUsed recency stamp.
-	sessMu   sync.Mutex
-	sessions map[string]*session
+	// sessions holds the incremental sessions (POST /session and
+	// friends, session.go) by ID, each costing 1 against -max-sessions:
+	// the least recently used is evicted past the bound.
+	sessions *cache.LRU[string, *session]
 	// Session counters. sessionInvalidations is the delta-invalidation
 	// count the tentpole asks for: how many per-session score tables an
 	// update stream dirtied (each will re-score only its dirty rows on
@@ -151,7 +151,6 @@ type server struct {
 	sessionUpdates       atomic.Uint64
 	sessionReads         atomic.Uint64
 	sessionDeletes       atomic.Uint64
-	sessionEvictions     atomic.Uint64
 	sessionInvalidations atomic.Uint64
 	sessionRescoredRows  atomic.Uint64
 	sessionFullRescores  atomic.Uint64
@@ -196,7 +195,7 @@ func newServer(cfg serverConfig) *server {
 		scores:       cache.New[scoreKey, *repro.Scores](cfg.scoreCacheBytes),
 		mmapFiles:    map[[sha256.Size]byte]*mmapEntry{},
 		start:        time.Now(),
-		sessions:     map[string]*session{},
+		sessions:     cache.New[string, *session](int64(cfg.maxSessions)),
 	}
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -277,6 +276,7 @@ func statusFor(err error) int {
 		errors.Is(err, repro.ErrNoScorer),
 		errors.Is(err, repro.ErrUnknownFormat),
 		errors.Is(err, repro.ErrLineTooLong),
+		errors.Is(err, repro.ErrUnwritableLabel),
 		errors.As(err, &pe):
 		return http.StatusBadRequest
 	default:
@@ -604,12 +604,12 @@ func (s *server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			"cache_skips": s.evalCacheSkips.Load(),
 		},
 		"sessions": map[string]any{
-			"active":              s.sessionCount(),
+			"active":              s.sessions.Len(),
 			"creates":             s.sessionCreates.Load(),
 			"updates":             s.sessionUpdates.Load(),
 			"reads":               s.sessionReads.Load(),
 			"deletes":             s.sessionDeletes.Load(),
-			"evictions":           s.sessionEvictions.Load(),
+			"evictions":           s.sessions.Stats().Evictions,
 			"delta_invalidations": s.sessionInvalidations.Load(),
 			"rescored_rows":       s.sessionRescoredRows.Load(),
 			"full_rescores":       s.sessionFullRescores.Load(),
@@ -663,12 +663,14 @@ func responseContentType(format string) string {
 	return "text/plain; charset=utf-8"
 }
 
-// edgeJSON is one backbone edge in JSON responses.
+// edgeJSON is one backbone edge or score-table row in JSON responses.
+// Score is set on score rows only, where a zero score is written like
+// any other.
 type edgeJSON struct {
-	Src    string  `json:"src"`
-	Dst    string  `json:"dst"`
-	Weight float64 `json:"weight"`
-	Score  float64 `json:"score,omitempty"`
+	Src    string   `json:"src"`
+	Dst    string   `json:"dst"`
+	Weight float64  `json:"weight"`
+	Score  *float64 `json:"score,omitempty"`
 }
 
 // graphEdges flattens a graph's canonical edges into wire form.
@@ -681,8 +683,8 @@ func graphEdges(g *repro.Graph) []edgeJSON {
 }
 
 // writeBackbone is the write stage of a backbone answer over input
-// graph g.
-func (s *server) writeBackbone(c *call, g *repro.Graph, res *repro.Result) {
+// graph g. It returns only errors raised before the first byte.
+func (s *server) writeBackbone(c *call, g *repro.Graph, res *repro.Result) error {
 	w := c.w
 	params, _ := json.Marshal(res.Params)
 	w.Header().Set("X-Backbone-Method", res.Method)
@@ -704,22 +706,27 @@ func (s *server) writeBackbone(c *call, g *repro.Graph, res *repro.Result) {
 			"duration_ms":   res.Duration.Milliseconds(),
 			"backbone":      graphEdges(res.Backbone),
 		})
-		return
+		return nil
 	}
 	w.Header().Set("Content-Type", responseContentType(c.outFormat))
 	if err := repro.WriteGraph(w, res.Backbone, repro.WithFormat(c.outFormat)); err != nil {
+		if errors.Is(err, repro.ErrUnwritableLabel) {
+			return err // rejected before the first byte
+		}
 		s.logf("write response: %v", err)
 	}
+	return nil
 }
 
-// writeScores is the write stage of a score-table answer.
-func (s *server) writeScores(c *call, scores *repro.Scores) {
+// writeScores is the write stage of a score-table answer. It returns
+// only errors raised before the first byte.
+func (s *server) writeScores(c *call, scores *repro.Scores) error {
 	w := c.w
 	g := scores.G
 	edges := g.Edges()
 	row := func(i int) edgeJSON {
 		e := edges[i]
-		return edgeJSON{Src: g.LabelOrID(int(e.Src)), Dst: g.LabelOrID(int(e.Dst)), Weight: e.Weight, Score: scores.Score[i]}
+		return edgeJSON{Src: g.LabelOrID(int(e.Src)), Dst: g.LabelOrID(int(e.Dst)), Weight: e.Weight, Score: &scores.Score[i]}
 	}
 	w.Header().Set("X-Backbone-Method", scores.Method)
 	w.Header().Set("X-Backbone-Edges", strconv.Itoa(len(edges)))
@@ -730,28 +737,31 @@ func (s *server) writeScores(c *call, scores *repro.Scores) {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]any{"method": scores.Method, "scores": rows})
-		return
+		return nil
 	}
 	w.Header().Set("Content-Type", responseContentType(c.outFormat))
 	bw := bufio.NewWriter(w)
 	defer bw.Flush()
-	switch c.outFormat {
-	case "ndjson":
+	if c.outFormat == "ndjson" {
 		enc := json.NewEncoder(bw)
 		for i := range edges {
 			enc.Encode(row(i))
 		}
-	default:
-		sep := ","
-		if c.outFormat == "tsv" {
-			sep = "\t"
-		}
-		fmt.Fprintf(bw, "src%sdst%sweight%sscore\n", sep, sep, sep)
-		for i, e := range edges {
-			fmt.Fprintf(bw, "%s%s%s%s%s%s%s\n",
-				g.LabelOrID(int(e.Src)), sep, g.LabelOrID(int(e.Dst)), sep,
-				strconv.FormatFloat(e.Weight, 'g', -1, 64), sep,
-				strconv.FormatFloat(scores.Score[i], 'g', -1, 64))
-		}
+		return nil
 	}
+	sep := byte(',')
+	if c.outFormat == "tsv" {
+		sep = '\t'
+	}
+	if err := g.CheckLabels(sep); err != nil {
+		return err // nothing buffered yet: rejected before the first byte
+	}
+	fmt.Fprintf(bw, "src%cdst%cweight%cscore\n", sep, sep, sep)
+	for i, e := range edges {
+		fmt.Fprintf(bw, "%s%c%s%c%s%c%s\n",
+			g.LabelOrID(int(e.Src)), sep, g.LabelOrID(int(e.Dst)), sep,
+			strconv.FormatFloat(e.Weight, 'g', -1, 64), sep,
+			strconv.FormatFloat(scores.Score[i], 'g', -1, 64))
+	}
+	return nil
 }

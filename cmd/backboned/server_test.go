@@ -257,6 +257,110 @@ func TestScoreEndpoint(t *testing.T) {
 	}
 }
 
+// TestScoreRowsKeepZeroScores: every /score row carries its score in
+// ndjson and JSON, a salience of 0 included, as the csv rows do; the
+// backbone edges of response=json carry none.
+func TestScoreRowsKeepZeroScores(t *testing.T) {
+	_, ts := newTestServer(t, 2, 5*time.Second)
+	// a-c is never a shortest path (a-b-c is far shorter), so its hss
+	// salience is 0.
+	body := "a,b,10\nb,c,10\na,c,0.01\n"
+	resp, out := post(t, ts.URL+"/score?method=hss", "text/csv", body)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(out, "a,c,0.01,0\n") {
+		t.Fatalf("csv: status %d, want a zero-score a-c row:\n%s", resp.StatusCode, out)
+	}
+	resp, out = post(t, ts.URL+"/score?method=hss&outformat=ndjson", "text/csv", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ndjson: status %d: %s", resp.StatusCode, out)
+	}
+	var rows []map[string]any
+	for _, ln := range strings.Split(strings.TrimSpace(out), "\n") {
+		var row map[string]any
+		if err := json.Unmarshal([]byte(ln), &row); err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
+	}
+	resp, out = post(t, ts.URL+"/score?method=hss&response=json", "text/csv", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("json: status %d: %s", resp.StatusCode, out)
+	}
+	var doc struct {
+		Scores []map[string]any `json:"scores"`
+	}
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatal(err)
+	}
+	rows = append(rows, doc.Scores...)
+	if len(rows) != 6 {
+		t.Fatalf("got %d rows over ndjson and JSON, want 6", len(rows))
+	}
+	for _, row := range rows {
+		if _, ok := row["score"]; !ok {
+			t.Errorf("score row without score: %v", row)
+		}
+	}
+	resp, out = post(t, ts.URL+"/backbone?method=hss&top=2&response=json", "text/csv", body)
+	if resp.StatusCode != http.StatusOK || strings.Contains(out, `"score"`) {
+		t.Errorf("backbone JSON: status %d, want no score field:\n%s", resp.StatusCode, out)
+	}
+}
+
+// TestSeparatorLabelsRejected: a label holding the output separator is
+// answered 400 with WriteGraph's message by /backbone and /score alike,
+// never 200 with an empty or corrupt body; ndjson output still answers
+// the library's bytes.
+func TestSeparatorLabelsRejected(t *testing.T) {
+	_, ts := newTestServer(t, 2, 5*time.Second)
+	body := "a,1\tb\t3\na,1\tc\t2\nb\tc\t1\nc\td\t4\n" // sniffed as tsv
+	g, err := repro.ReadGraph(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := repro.Backbone(g, repro.WithTopK(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := repro.Score(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backboneErr := repro.WriteGraph(io.Discard, res.Backbone)
+	scoreErr := repro.WriteGraph(io.Discard, g)
+	if backboneErr == nil || scoreErr == nil {
+		t.Fatal("library csv write of a comma label succeeded")
+	}
+	for _, tc := range []struct{ path, want string }{
+		{"/backbone?top=2", backboneErr.Error()},
+		{"/score", scoreErr.Error()},
+	} {
+		resp, out := post(t, ts.URL+tc.path, "text/plain", body)
+		var got struct {
+			Error string `json:"error"`
+		}
+		json.Unmarshal([]byte(out), &got)
+		if resp.StatusCode != http.StatusBadRequest || got.Error != tc.want {
+			t.Errorf("%s: status %d, body %q; want 400 with %q", tc.path, resp.StatusCode, out, tc.want)
+		}
+	}
+
+	var want bytes.Buffer
+	if err := repro.WriteGraph(&want, res.Backbone, repro.WithFormat("ndjson")); err != nil {
+		t.Fatal(err)
+	}
+	if resp, out := post(t, ts.URL+"/backbone?top=2&outformat=ndjson", "text/plain", body); resp.StatusCode != http.StatusOK || out != want.String() {
+		t.Errorf("/backbone ndjson: status %d:\n%s\nwant:\n%s", resp.StatusCode, out, want.String())
+	}
+	want.Reset()
+	for i, e := range g.Edges() {
+		fmt.Fprintf(&want, `{"src":%q,"dst":%q,"weight":%v,"score":%v}`+"\n",
+			g.LabelOrID(int(e.Src)), g.LabelOrID(int(e.Dst)), e.Weight, sc.Score[i])
+	}
+	if resp, out := post(t, ts.URL+"/score?outformat=ndjson", "text/plain", body); resp.StatusCode != http.StatusOK || out != want.String() {
+		t.Errorf("/score ndjson: status %d:\n%s\nwant:\n%s", resp.StatusCode, out, want.String())
+	}
+}
+
 // TestScoreMethodLabelIgnoresParallel: parallel=1 is a no-op, so /score
 // names the method "nc" in X-Backbone-Method and the JSON "method" field
 // and answers the same bytes with or without it, whichever request

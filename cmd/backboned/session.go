@@ -28,7 +28,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro"
 	"repro/internal/admission"
@@ -37,7 +36,7 @@ import (
 )
 
 // defaultMaxSessions bounds resident session state when -max-sessions
-// is unset; the oldest idle session is evicted past it.
+// is unset; the least recently used session is evicted past it.
 const defaultMaxSessions = 256
 
 // sessionTable is one method's score table inside a session, plus the
@@ -52,8 +51,8 @@ type sessionTable struct {
 // session is one live overlay: the delta accumulating updates, the
 // latest materialization, and per-method score tables that advance
 // incrementally. mu serializes all delta/table access (graph.Delta is
-// not concurrency-safe); lastUsed is guarded by server.sessMu, not mu,
-// so eviction scans never wait on a session mid-score.
+// not concurrency-safe); the session store never takes it, so eviction
+// never waits on a session mid-score.
 type session struct {
 	id string // embeds the creating body's digest: the fleet routing anchor
 
@@ -65,8 +64,7 @@ type session struct {
 	// an exclusive delta, its in-place surrender).
 	lastDirty graph.Dirty
 	tables    map[string]*sessionTable
-	applied   uint64    // total updates accepted
-	lastUsed  time.Time // guarded by server.sessMu
+	applied   uint64 // total updates accepted
 }
 
 // newSessionID derives a session ID: the body digest in hex (every
@@ -104,58 +102,6 @@ func mergeDirtyNodes(pending, dirty []int32) []int32 {
 	return slices.Compact(pending)
 }
 
-// getSession looks a session up and bumps its recency.
-func (s *server) getSession(id string) *session {
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	sess := s.sessions[id]
-	if sess != nil {
-		sess.lastUsed = time.Now()
-	}
-	return sess
-}
-
-// putSession stores a new session, evicting the least-recently-used
-// one when the -max-sessions budget is exceeded.
-func (s *server) putSession(sess *session) {
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	for len(s.sessions) >= s.maxSessions {
-		var oldest *session
-		//lint:detiter-ok recency scan; the minimum is order-independent
-		for _, cand := range s.sessions {
-			if oldest == nil || cand.lastUsed.Before(oldest.lastUsed) {
-				oldest = cand
-			}
-		}
-		if oldest == nil {
-			break
-		}
-		delete(s.sessions, oldest.id)
-		s.sessionEvictions.Add(1)
-	}
-	sess.lastUsed = time.Now()
-	s.sessions[sess.id] = sess
-}
-
-// dropSession removes a session; reports whether it existed.
-func (s *server) dropSession(id string) bool {
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	if _, ok := s.sessions[id]; !ok {
-		return false
-	}
-	delete(s.sessions, id)
-	return true
-}
-
-// sessionCount is the /statsz active-sessions gauge.
-func (s *server) sessionCount() int {
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	return len(s.sessions)
-}
-
 // computeSessionCreate is the compute step of POST /session: resolve
 // the body exactly as POST /backbone would (content-addressed graph
 // cache included), pin a delta overlay over the result, and answer with
@@ -181,10 +127,9 @@ func (s *server) computeSessionCreate(c *call) error {
 		g:      g,
 		tables: map[string]*sessionTable{},
 	}
-	s.putSession(sess)
+	s.sessions.Add(id, sess, 1)
 	s.sessionCreates.Add(1)
 
-	c.outcome = admission.OK
 	c.w.Header().Set("Location", "/session/"+id)
 	c.w.Header().Set("Content-Type", "application/json")
 	c.w.WriteHeader(http.StatusCreated)
@@ -249,7 +194,6 @@ func (s *server) computeSessionUpdate(c *call) error {
 	sess.applied += uint64(len(ups))
 	s.sessionUpdates.Add(1)
 
-	c.outcome = admission.OK
 	c.w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(c.w).Encode(map[string]any{
 		"session":       c.id,
@@ -340,8 +284,8 @@ func (s *server) sessionScores(ctx context.Context, sess *session, g *repro.Grap
 // frontier rescore plus serialization), cold on first touch.
 func (s *server) classifySessionRead(c *call) (admission.Lane, string) {
 	names, _ := c.methodNames()
-	sess := s.getSession(c.id)
-	if sess == nil {
+	sess, ok := s.sessions.Get(c.id)
+	if !ok {
 		return admission.Fast, "session-read" // 404s should not queue behind scoring
 	}
 	sess.mu.Lock()
@@ -382,7 +326,7 @@ func (s *server) computeSessionRead(c *call) error {
 // delete that lost a race with another for the same session is still
 // answered 204, but counted once.
 func (s *server) computeSessionDelete(c *call) error {
-	if s.dropSession(c.id) {
+	if s.sessions.Remove(c.id) {
 		s.sessionDeletes.Add(1)
 	}
 	c.w.WriteHeader(http.StatusNoContent)

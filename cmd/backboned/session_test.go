@@ -442,8 +442,8 @@ func TestSessionValidation(t *testing.T) {
 }
 
 // TestSessionEvictionAndCounters: the -max-sessions LRU bound evicts
-// the oldest session, and /statsz exposes the session counters the
-// tentpole requires (delta invalidations included).
+// the least recently used session (by use, not by creation), and
+// /statsz exposes the session counters (delta invalidations included).
 func TestSessionEvictionAndCounters(t *testing.T) {
 	s := newServer(serverConfig{
 		workers: 2, timeout: 10 * time.Second, maxBody: 1 << 24,
@@ -465,14 +465,20 @@ func TestSessionEvictionAndCounters(t *testing.T) {
 	}
 
 	second := openSession(t, ts, encodeGraph(t, testGraph(t, 40), "csv"))
-	_ = second
+	// Reading first after second was created makes second the least
+	// recently used session, although first was created earlier.
+	if resp, _ := first.get("backbone", "method=df"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first read after second create: %d", resp.StatusCode)
+	}
 	third := openSession(t, ts, encodeGraph(t, testGraph(t, 20), "csv"))
 	_ = third
 	// Capacity 2: the third create evicted the least recently used
-	// session (the first — the other two were created after its last
-	// touch).
-	if resp, _ := first.get("backbone", "method=df"); resp.StatusCode != http.StatusNotFound {
+	// session — second, not the older but more recently read first.
+	if resp, _ := second.get("backbone", "method=df"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("evicted session still answers: %d", resp.StatusCode)
+	}
+	if resp, _ := first.get("backbone", "method=df"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("recently read session evicted: %d", resp.StatusCode)
 	}
 
 	resp, err := http.Get(ts + "/statsz")

@@ -23,6 +23,9 @@ var (
 	ErrUnknownFormat = graph.ErrUnknownFormat
 	// ErrLineTooLong: an edge-list input line exceeded the per-line cap.
 	ErrLineTooLong = graph.ErrLineTooLong
+	// ErrUnwritableLabel: a node label contains the separator (or a
+	// newline) of the delimited output format it was to be written in.
+	ErrUnwritableLabel = graph.ErrUnwritableLabel
 )
 
 // ParamError reports an invalid method or pipeline parameter: the

@@ -1,14 +1,17 @@
-// Package cache provides a byte-bounded LRU memo cache with integrated
-// single-flight deduplication, the building block of the backboned
-// daemon's content-addressed request caching.
+// Package cache provides the backboned daemon's memo: LRU, a
+// byte-bounded least-recently-used cache with integrated single-flight
+// deduplication, and Group, that single-flight on its own.
 //
-// The cache is generic over key and value: the daemon keys parsed
-// graphs by a content hash of the request body and score tables by
-// (graph hash, method). Do is the primary entry point — it returns a
-// cached value, joins an in-flight computation for the same key, or
-// computes and stores the value itself. Values never expire by time;
-// they are evicted least-recently-used when the configured byte budget
-// overflows.
+// Both are generic over key and value. The daemon's LRU users are the
+// graph cache (parsed request bodies keyed by a content hash of the
+// body), the score cache (score tables keyed by graph hash and method)
+// and the session store (live sessions keyed by ID, each costing 1
+// against -max-sessions). The fleet layer coalesces identical
+// concurrent forwards through a Group. LRU.Do is the primary entry
+// point — it returns a cached value, joins an in-flight computation
+// for the same key, or computes and stores the value itself. Values
+// never expire by time; they are evicted least-recently-used when the
+// configured byte budget overflows.
 package cache
 
 import (
@@ -24,8 +27,8 @@ type Stats struct {
 	Hits uint64 `json:"hits"`
 	// Misses counts Do calls that computed their value (Get misses too).
 	Misses uint64 `json:"misses"`
-	// Coalesced counts Do calls that joined another caller's in-flight
-	// computation instead of starting their own.
+	// Coalesced counts Do calls answered by joining another caller's
+	// in-flight computation instead of starting their own.
 	Coalesced uint64 `json:"coalesced"`
 	// Evictions counts entries removed to honor the byte budget.
 	Evictions uint64 `json:"evictions"`
@@ -46,21 +49,14 @@ type LRU[K comparable, V any] struct {
 	bytes   int64
 	ll      *list.List // front = most recently used
 	items   map[K]*list.Element
-	flights map[K]*flight[V]
 	stats   Stats
+	flights Group[K, V]
 }
 
 type entry[K comparable, V any] struct {
 	key  K
 	v    V
 	cost int64
-}
-
-// flight is one in-progress computation other callers can wait on.
-type flight[V any] struct {
-	done chan struct{}
-	v    V
-	err  error
 }
 
 // New returns an LRU bounded to maxBytes of summed entry cost, or nil
@@ -70,108 +66,84 @@ func New[K comparable, V any](maxBytes int64) *LRU[K, V] {
 		return nil
 	}
 	return &LRU[K, V]{
-		max:     maxBytes,
-		ll:      list.New(),
-		items:   make(map[K]*list.Element),
-		flights: make(map[K]*flight[V]),
+		max:   maxBytes,
+		ll:    list.New(),
+		items: make(map[K]*list.Element),
 	}
 }
 
 // Do returns the value for key: from the cache, by joining an
 // identical in-flight computation, or by running compute (which
 // reports the value's cost in bytes). hit is true when compute did not
-// run in this call — the caller skipped the work. Failed computations
-// are never cached; their error goes to the leader, and waiters retry
-// (one of them becoming the new leader) unless their own ctx is done.
+// run in this call — the caller skipped the work. Misses run through
+// the cache's Group, so failed computations are never cached; their
+// error goes to the leader, and waiters retry (one of them becoming
+// the new leader) unless their own ctx is done.
 func (c *LRU[K, V]) Do(ctx context.Context, key K, compute func() (V, int64, error)) (v V, hit bool, err error) {
 	if c == nil {
 		v, _, err := compute()
 		return v, false, err
 	}
-	for {
+	c.mu.Lock()
+	v, hit = c.get(key)
+	c.mu.Unlock()
+	if hit {
+		return v, true, nil
+	}
+	computed := false
+	v, shared, err := c.flights.Do(ctx, key, func() (V, error) {
 		c.mu.Lock()
-		if el, ok := c.items[key]; ok {
-			c.ll.MoveToFront(el)
-			c.stats.Hits++
-			v := el.Value.(*entry[K, V]).v
+		if v, ok := c.get(key); ok {
+			// Another flight for key stored its value between our miss
+			// above and our lead here.
 			c.mu.Unlock()
-			return v, true, nil
+			return v, nil
 		}
-		if f, ok := c.flights[key]; ok {
-			c.stats.Coalesced++
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-				if f.err == nil {
-					return f.v, true, nil
-				}
-				// The leader failed — possibly on its own context
-				// (cancel, timeout), which must not poison us. Retry;
-				// one waiter becomes the new leader.
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					var zero V
-					return zero, false, ctxErr
-				}
-				continue
-			case <-ctx.Done():
-				var zero V
-				return zero, false, ctx.Err()
-			}
-		}
-		f := &flight[V]{done: make(chan struct{})}
-		c.flights[key] = f
 		c.stats.Misses++
 		c.mu.Unlock()
-
-		c.lead(key, f, compute)
-		return f.v, false, f.err
-	}
-}
-
-// errComputePanicked is what waiters observe when a leader's compute
-// panicked; they retry rather than inherit it.
-var errComputePanicked = errors.New("cache: compute panicked")
-
-// lead runs one computation as the flight's leader. The deferred
-// cleanup runs even if compute panics: the flight is removed and its
-// done channel closed (with an error set) so the key is never wedged —
-// waiters retry, and the panic itself keeps unwinding to the caller
-// (net/http's handler recovery, in the daemon).
-func (c *LRU[K, V]) lead(key K, f *flight[V], compute func() (V, int64, error)) {
-	var cost int64
-	completed := false
-	defer func() {
-		if !completed {
-			f.err = errComputePanicked
+		computed = true
+		v, cost, err := compute()
+		if err == nil {
+			// Stored before the flight is released: a caller that
+			// misses the flight finds the value instead.
+			c.Add(key, v, cost)
 		}
+		return v, err
+	})
+	if shared {
 		c.mu.Lock()
-		delete(c.flights, key)
-		if completed && f.err == nil {
-			c.add(key, f.v, cost)
-		}
+		c.stats.Coalesced++
 		c.mu.Unlock()
-		close(f.done)
-	}()
-	f.v, cost, f.err = compute()
-	completed = true
+	}
+	return v, err == nil && !computed, err
 }
 
-// Get returns the cached value for key without computing anything.
-func (c *LRU[K, V]) Get(key K) (V, bool) {
-	var zero V
-	if c == nil {
-		return zero, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// get returns key's value and bumps its recency, counting a hit. Must
+// hold c.mu.
+func (c *LRU[K, V]) get(key K) (V, bool) {
 	el, ok := c.items[key]
 	if !ok {
-		c.stats.Misses++
+		var zero V
 		return zero, false
 	}
 	c.ll.MoveToFront(el)
 	c.stats.Hits++
 	return el.Value.(*entry[K, V]).v, true
+}
+
+// Get returns the cached value for key without computing anything.
+func (c *LRU[K, V]) Get(key K) (V, bool) {
+	if c == nil {
+		var zero V
+		return zero, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.get(key)
+	if !ok {
+		c.stats.Misses++
+	}
+	return v, ok
 }
 
 // Contains reports whether key is cached right now, without bumping
@@ -217,17 +189,31 @@ func (c *LRU[K, V]) add(key K, v V, cost int64) {
 		c.items[key] = c.ll.PushFront(&entry[K, V]{key: key, v: v, cost: cost})
 		c.bytes += cost
 	}
-	for c.bytes > c.max {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*entry[K, V])
-		c.ll.Remove(back)
-		delete(c.items, e.key)
-		c.bytes -= e.cost
+	for c.bytes > c.max && c.ll.Len() > 0 {
+		c.remove(c.ll.Back())
 		c.stats.Evictions++
 	}
+}
+
+// Remove drops key's entry and reports whether one was cached.
+func (c *LRU[K, V]) Remove(key K) bool {
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if ok {
+		c.remove(el)
+	}
+	return ok
+}
+
+// remove unlinks one entry. Must hold c.mu.
+func (c *LRU[K, V]) remove(el *list.Element) {
+	e := c.ll.Remove(el).(*entry[K, V])
+	delete(c.items, e.key)
+	c.bytes -= e.cost
 }
 
 // Len returns the current entry count.
@@ -253,4 +239,80 @@ func (c *LRU[K, V]) Stats() Stats {
 	s.Bytes = c.bytes
 	s.MaxBytes = c.max
 	return s
+}
+
+// Group deduplicates concurrent computations by key: the first caller
+// for a key leads and runs fn, and callers arriving while it runs wait
+// for its result instead of starting their own. Nothing is stored —
+// once the leader returns, the next caller computes afresh. The zero
+// Group is ready to use.
+type Group[K comparable, V any] struct {
+	mu      sync.Mutex
+	flights map[K]*flight[V]
+}
+
+// flight is one in-progress computation other callers can wait on.
+type flight[V any] struct {
+	done chan struct{}
+	v    V
+	err  error
+}
+
+// errComputePanicked is what waiters observe when a leader's fn
+// panicked; they retry rather than inherit it.
+var errComputePanicked = errors.New("cache: compute panicked")
+
+// Do returns fn's value for key, either by running fn as the leader or
+// by joining an identical in-flight call; shared reports that this
+// call joined and did no work itself. A leader's failure — possibly on
+// its own context (cancel, timeout) — never poisons waiters: they
+// retry, one becoming the new leader, unless their own ctx is done.
+func (g *Group[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (v V, shared bool, err error) {
+	for {
+		g.mu.Lock()
+		f, ok := g.flights[key]
+		if !ok {
+			break
+		}
+		g.mu.Unlock()
+		select {
+		case <-f.done:
+			if f.err == nil {
+				return f.v, true, nil
+			}
+		case <-ctx.Done():
+		}
+		if err := ctx.Err(); err != nil {
+			return v, false, err
+		}
+	}
+	if g.flights == nil {
+		g.flights = make(map[K]*flight[V])
+	}
+	f := &flight[V]{done: make(chan struct{})}
+	g.flights[key] = f
+	g.mu.Unlock()
+
+	g.lead(key, f, fn)
+	return f.v, false, f.err
+}
+
+// lead runs fn as the flight's leader. The deferred cleanup runs even
+// if fn panics: the flight is removed and its done channel closed
+// (with an error set) so the key is never wedged — waiters retry, and
+// the panic itself keeps unwinding to the caller (net/http's handler
+// recovery, in the daemon).
+func (g *Group[K, V]) lead(key K, f *flight[V], fn func() (V, error)) {
+	completed := false
+	defer func() {
+		if !completed {
+			f.err = errComputePanicked
+		}
+		g.mu.Lock()
+		delete(g.flights, key)
+		g.mu.Unlock()
+		close(f.done)
+	}()
+	f.v, f.err = fn()
+	completed = true
 }

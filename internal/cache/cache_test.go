@@ -73,6 +73,19 @@ func TestReplaceAdjustsBytes(t *testing.T) {
 	if v, ok := c.Get("k"); !ok || v != 2 {
 		t.Errorf("Get = %d,%v", v, ok)
 	}
+	c.Add("j", 3, 30)
+	if !c.Remove("k") {
+		t.Error("Remove of a cached key = false")
+	}
+	if c.Remove("k") {
+		t.Error("second Remove = true")
+	}
+	if s := c.Stats(); s.Bytes != 30 || s.Entries != 1 || s.Evictions != 0 {
+		t.Errorf("stats after Remove = %+v", s)
+	}
+	if _, ok := c.Get("k"); ok {
+		t.Error("removed key still cached")
+	}
 }
 
 // TestSingleFlight: concurrent Do calls for one key run compute once;
@@ -211,6 +224,9 @@ func TestNilCache(t *testing.T) {
 	}
 	if c.Contains("k") {
 		t.Error("nil Contains reported true")
+	}
+	if c.Remove("k") {
+		t.Error("nil Remove reported true")
 	}
 }
 

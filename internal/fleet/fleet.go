@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/resilient"
 )
 
@@ -155,7 +156,22 @@ type Fleet struct {
 	attempt time.Duration
 	maxResp int64
 	logf    func(string, ...any)
-	flights flightGroup
+	// flights coalesces identical concurrent forwards into one upstream
+	// request. Nothing is cached: response memoization belongs to the
+	// owning peer's content-addressed caches, not the forwarding hop.
+	flights cache.Group[flightKey, *Response]
+}
+
+// flightKey identifies one forwardable computation: same body digest,
+// same endpoint, same query, same body interpretation (Content-Type).
+// Concurrent forwards with equal keys are served by one upstream
+// request between them.
+type flightKey struct {
+	digest      Digest
+	method      string
+	path        string
+	query       string
+	contentType string
 }
 
 // New validates the membership and builds the fleet. Self is added to
@@ -261,7 +277,7 @@ func (f *Fleet) ForwardRequest(ctx context.Context, addr string, d Digest, metho
 	}
 	p.forwards.Add(1)
 	key := flightKey{digest: d, method: method, path: path, query: rawQuery, contentType: contentType}
-	resp, _, err := f.flights.do(ctx, key, func() (*Response, error) {
+	resp, _, err := f.flights.Do(ctx, key, func() (*Response, error) {
 		var out *Response
 		err := f.retry.Do(ctx, func(ctx context.Context, attempt int) error {
 			if attempt > 0 {
@@ -291,11 +307,7 @@ func (f *Fleet) ForwardRequest(ctx context.Context, addr string, d Digest, metho
 		}
 		return out, nil
 	})
-	if err != nil && !errors.Is(err, ErrPeerUnavailable) &&
-		!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		err = fmt.Errorf("%w: %w", ErrPeerUnavailable, err)
-	}
-	return resp, err
+	return resp, err // fn's wrapped error, or a waiter's own ctx error
 }
 
 // attemptForward is one bounded try against one peer.

@@ -276,8 +276,7 @@ func WriteGraph(w io.Writer, g *Graph, o WriteOptions) error {
 	if o.Gzip {
 		zw := gzip.NewWriter(w)
 		if err := f.Write(zw, g); err != nil {
-			zw.Close()
-			return err
+			return err // not closed: a rejected graph leaves w untouched
 		}
 		return zw.Close()
 	}

@@ -180,8 +180,15 @@ func TestWriteSeparatorInLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := b.Build()
-	if err := WriteGraph(io.Discard, g, WriteOptions{Format: "csv"}); err == nil {
-		t.Error("csv write of comma-bearing label succeeded; want error")
+	for _, gz := range []bool{false, true} {
+		var out bytes.Buffer
+		err := WriteGraph(&out, g, WriteOptions{Format: "csv", Gzip: gz})
+		if !errors.Is(err, ErrUnwritableLabel) {
+			t.Errorf("csv write (gzip %v) of comma-bearing label: %v; want ErrUnwritableLabel", gz, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("rejected csv write (gzip %v) wrote %d bytes", gz, out.Len())
+		}
 	}
 	if err := WriteGraph(io.Discard, g, WriteOptions{Format: "tsv"}); err != nil {
 		t.Errorf("tsv write of comma-bearing label: %v", err)

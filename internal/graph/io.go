@@ -20,6 +20,10 @@ const maxLineBytes = 1 << 20
 // carries the offending line number.
 var ErrLineTooLong = errors.New("line too long")
 
+// ErrUnwritableLabel marks a node label that a delimited output format
+// cannot hold: it contains the field separator or a newline.
+var ErrUnwritableLabel = errors.New("unwritable label")
+
 // readEdgeListSerial parses delimited "src dst weight" lines into a
 // Graph, one line at a time. Fields are tab-separated when the line
 // contains a tab, else comma-separated when it contains a comma, else
@@ -113,31 +117,28 @@ func (g *Graph) LabelOrID(u int) string { return g.label(int32(u)) }
 // separator, preceded by a header row. Weights use strconv's shortest
 // exact representation, so written graphs read back bit-identically.
 // A label containing the separator (or a newline) would corrupt the
-// output and break that guarantee, so it is an explicit error — use
-// ndjson (or a different separator) for such labels.
+// output and break that guarantee, so CheckLabels rejects it before
+// the first byte is written — use ndjson (or a different separator)
+// for such labels.
 //
 // Each line is byte-built into one reusable buffer (strconv.Append*
 // instead of Fprintln/FormatFloat), so writing allocates O(1) rather
 // than O(edges).
 func (g *Graph) writeEdgeList(w io.Writer, sep byte) error {
+	if err := g.CheckLabels(sep); err != nil {
+		return err
+	}
 	bw := bufio.NewWriterSize(w, 64<<10)
 	bw.WriteString("src")
 	bw.WriteByte(sep)
 	bw.WriteString("dst")
 	bw.WriteByte(sep)
 	bw.WriteString("weight\n")
-	unsafeChars := string([]byte{sep, '\n', '\r'})
 	buf := make([]byte, 0, 64)
 	for _, e := range g.edges {
-		buf = buf[:0]
-		var err error
-		if buf, err = g.appendLabel(buf, e.Src, sep, unsafeChars); err != nil {
-			return err
-		}
+		buf = g.appendLabel(buf[:0], e.Src)
 		buf = append(buf, sep)
-		if buf, err = g.appendLabel(buf, e.Dst, sep, unsafeChars); err != nil {
-			return err
-		}
+		buf = g.appendLabel(buf, e.Dst)
 		buf = append(buf, sep)
 		buf = strconv.AppendFloat(buf, e.Weight, 'g', -1, 64)
 		buf = append(buf, '\n')
@@ -148,17 +149,26 @@ func (g *Graph) writeEdgeList(w io.Writer, sep byte) error {
 	return bw.Flush()
 }
 
-// appendLabel appends node id's display label (label or numeric ID),
-// rejecting labels that would corrupt a sep-delimited line.
-func (g *Graph) appendLabel(buf []byte, id int32, sep byte, unsafeChars string) ([]byte, error) {
-	l := g.labels[id]
-	if l == "" {
-		return strconv.AppendInt(buf, int64(id), 10), nil
+// CheckLabels reports the first node with an incident edge whose label
+// would corrupt a sep-delimited edge line, one containing sep, '\n' or
+// '\r', as an ErrUnwritableLabel; nil means every label an edge list
+// writes is safe. It looks at each node once, not at each endpoint.
+func (g *Graph) CheckLabels(sep byte) error {
+	unsafeChars := string([]byte{sep, '\n', '\r'})
+	for u, l := range g.labels {
+		if (g.OutDegree(u) > 0 || g.InDegree(u) > 0) && strings.ContainsAny(l, unsafeChars) {
+			return fmt.Errorf("graph: %w: %q contains the field separator %q; write this graph as ndjson instead", ErrUnwritableLabel, l, sep)
+		}
 	}
-	if strings.ContainsAny(l, unsafeChars) {
-		return nil, fmt.Errorf("graph: label %q contains the field separator %q; write this graph as ndjson instead", l, sep)
+	return nil
+}
+
+// appendLabel appends node id's display label (label or numeric ID).
+func (g *Graph) appendLabel(buf []byte, id int32) []byte {
+	if l := g.labels[id]; l != "" {
+		return append(buf, l...)
 	}
-	return append(buf, l...), nil
+	return strconv.AppendInt(buf, int64(id), 10)
 }
 
 // WriteCSV writes the canonical edge list as "src,dst,weight" lines with
